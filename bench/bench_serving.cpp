@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <map>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -191,128 +190,6 @@ main(int argc, char **argv)
         std::printf("\n");
     }
     json.endArray(); // datasets
-
-    // --- agg-cache sweep: Zipf popularity, cached vs uncached -----
-    // Two popularity exponents (sub-critical 0.8 and heavy 1.1),
-    // each replayed twice through otherwise-identical servers with
-    // the island-aggregation cache off then on. Logits are compared
-    // per request id across the two arms — the cache's bit-identity
-    // contract, checked on the real bench trace, not just unit
-    // fixtures. CI gates on the alpha=1.1 sweep: hit rate >= 0.5 and
-    // cached p99 <= uncached p99.
-    {
-        DatasetGraph data =
-            buildDataset(Dataset::Cora, datasetScale(Dataset::Cora));
-        Rng rng(7);
-        Features x = makeFeatures(data.graph.numNodes(),
-                                  data.info.numFeatures,
-                                  data.info.featureDensity, rng);
-        ModelConfig mc =
-            modelConfig(Model::GCN, NetConfig::Algo, data.info);
-        std::vector<DenseMatrix> weights = makeWeights(mc, rng);
-
-        const uint64_t n_req = quick ? 2000 : 8000;
-        std::printf("agg-cache sweep: cora Zipf trace (%llu "
-                    "requests)\n",
-                    static_cast<unsigned long long>(n_req));
-        std::printf("  %-6s %-8s | %8s %8s | %8s %8s %10s | %s\n",
-                    "alpha", "cache", "p50us", "p99us", "hitrate",
-                    "fills", "peakrss-kb", "identical");
-
-        json.key("agg_cache").beginObject();
-        json.key("dataset").value("cora");
-        json.key("requests").value(n_req);
-        json.key("sweeps").beginArray();
-
-        for (const double alpha : {0.8, 1.1}) {
-            serve::TraceConfig tc;
-            tc.numInference = n_req;
-            tc.numUpdates = n_req / 100;
-            tc.zipfAlpha = alpha;
-            tc.seed = 11;
-            const std::vector<serve::Request> trace =
-                serve::makeSyntheticTrace(data.graph, tc);
-
-            struct Arm
-            {
-                std::map<uint64_t, std::vector<float>> logits;
-                serve::LatencySummary lat;
-                double wallRps = 0;
-                uint64_t peakRssKbAfter = 0;
-                double hitRate = 0;
-                uint64_t hits = 0, misses = 0, fills = 0,
-                         evictions = 0, invalidated = 0, bytes = 0;
-            };
-            Arm arms[2];
-            // Uncached first: peakRssKb is process-monotone, so the
-            // cached arm's reading includes exactly the cache's
-            // extra footprint on top of this baseline.
-            for (const bool cached : {false, true}) {
-                serve::ServerConfig sc;
-                sc.scheduler.maxBatch = 32;
-                sc.aggCache.enabled = cached;
-                serve::Server server(data.graph, x, weights, sc);
-                const auto t0 = std::chrono::steady_clock::now();
-                serve::ReplayReport rep = server.runTrace(trace);
-                const double wall_s =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-                Arm &a = arms[cached ? 1 : 0];
-                for (const serve::InferenceResult &r : rep.inference)
-                    a.logits[r.id] = r.logits;
-                const serve::ServerStats &st = server.stats();
-                a.lat = st.inferenceLatency();
-                a.wallRps =
-                    static_cast<double>(rep.inference.size()) /
-                    wall_s;
-                a.peakRssKbAfter = peakRssKb();
-                a.hitRate = st.aggCacheHitRate();
-                a.hits = st.aggCacheHits();
-                a.misses = st.aggCacheMisses();
-                a.fills = st.aggCacheFills();
-                a.evictions = st.aggCacheEvictions();
-                a.invalidated = st.aggCacheInvalidated();
-                a.bytes = st.aggCacheBytes();
-            }
-            const bool identical = arms[0].logits == arms[1].logits;
-
-            for (int i = 0; i < 2; ++i)
-                std::printf("  %-6.1f %-8s | %8.0f %8.0f | %8.2f "
-                            "%8llu %10llu | %s\n",
-                            alpha, i ? "on" : "off", arms[i].lat.p50,
-                            arms[i].lat.p99, arms[i].hitRate,
-                            static_cast<unsigned long long>(
-                                arms[i].fills),
-                            static_cast<unsigned long long>(
-                                arms[i].peakRssKbAfter),
-                            identical ? "yes" : "NO");
-
-            json.beginObject();
-            json.key("zipf_alpha").value(alpha);
-            json.key("updates").value(tc.numUpdates);
-            json.key("results_identical").value(identical);
-            for (int i = 0; i < 2; ++i) {
-                json.key(i ? "cached" : "uncached").beginObject();
-                json.key("latency_p50_us").value(arms[i].lat.p50);
-                json.key("latency_p99_us").value(arms[i].lat.p99);
-                json.key("wall_rps").value(arms[i].wallRps);
-                json.key("peak_rss_kb").value(arms[i].peakRssKbAfter);
-                json.key("hit_rate").value(arms[i].hitRate);
-                json.key("hits").value(arms[i].hits);
-                json.key("misses").value(arms[i].misses);
-                json.key("fills").value(arms[i].fills);
-                json.key("evictions").value(arms[i].evictions);
-                json.key("invalidated").value(arms[i].invalidated);
-                json.key("resident_bytes").value(arms[i].bytes);
-                json.endObject();
-            }
-            json.endObject();
-        }
-        json.endArray(); // sweeps
-        json.endObject(); // agg_cache
-        std::printf("\n");
-    }
 
     // --- feature-density sweep: CSR vs dense X on NellSmall -------
     // The tentpole scenario: the 0.01-density NELL surrogate served

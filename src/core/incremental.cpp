@@ -88,40 +88,12 @@ struct RepairState
 
 } // namespace
 
-std::vector<uint32_t>
-dirtyIslandEndpointSweep(const CsrGraph &g,
-                         const IslandizationResult &result,
-                         std::span<const Edge> added,
-                         std::span<const Edge> removed)
-{
-    std::set<uint32_t> dirty;
-    auto sweep_endpoint = [&](NodeId x) {
-        if (result.role[x] == NodeRole::IslandNode) {
-            dirty.insert(result.islandOf[x]);
-        } else if (result.role[x] == NodeRole::Hub) {
-            for (NodeId n : g.neighbors(x))
-                if (result.role[n] == NodeRole::IslandNode)
-                    dirty.insert(result.islandOf[n]);
-        }
-    };
-    for (const auto &[u, v] : added) {
-        sweep_endpoint(u);
-        sweep_endpoint(v);
-    }
-    for (const auto &[u, v] : removed) {
-        sweep_endpoint(u);
-        sweep_endpoint(v);
-    }
-    return {dirty.begin(), dirty.end()};
-}
-
 IslandizationResult
 updateIslandization(const CsrGraph &g,
                     const IslandizationResult &old_result,
                     std::span<const Edge> added,
                     std::span<const Edge> removed,
-                    const LocatorConfig &cfg, IncrementalStats *stats,
-                    IslandProvenance *provenance)
+                    const LocatorConfig &cfg, IncrementalStats *stats)
 {
     IslandizationResult out = old_result;
     IncrementalStats local_stats;
@@ -318,27 +290,14 @@ updateIslandization(const CsrGraph &g,
     }
 
     // --- 4. Compact away dissolved (now empty) islands. ------------
-    // Slot order is lineage: a slot below the old island count holds
-    // the old result's island of that id, preserved verbatim (the
-    // passes above only *clear* invalidated slots and *append*
-    // repaired islands); slots at or past it are repair-built. The
-    // compaction walk is therefore also the provenance map.
-    const size_t old_count = old_result.islands.size();
-    if (provenance)
-        provenance->parentOf.clear();
     std::vector<Island> compacted;
     compacted.reserve(out.islands.size());
-    for (size_t idx = 0; idx < out.islands.size(); ++idx) {
-        Island &island = out.islands[idx];
+    for (Island &island : out.islands) {
         if (island.nodes.empty())
             continue;
         const auto new_id = static_cast<uint32_t>(compacted.size());
         for (NodeId v : island.nodes)
             out.islandOf[v] = new_id;
-        if (provenance)
-            provenance->parentOf.push_back(
-                idx < old_count ? static_cast<uint32_t>(idx)
-                                : IslandProvenance::kNone);
         compacted.push_back(std::move(island));
     }
     out.islands = std::move(compacted);

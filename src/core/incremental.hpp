@@ -63,53 +63,6 @@ struct IncrementalStats
 };
 
 /**
- * Island provenance of one incremental update: for each island id of
- * the updated result, the old result's id of the verbatim-preserved
- * island it came from, or kNone for islands (re)built by the repair.
- *
- * "Verbatim" is structural: the island object (member BFS order, hub
- * list, round) is byte-identical to the parent's — the preservation
- * guarantee updateIslandization documents. It says nothing about the
- * island's *aggregate* staying numerically valid: an absorbed
- * intra-island edge or a degree change of a listed hub alters the
- * normalized-adjacency values inside a structurally untouched island.
- * Consumers caching per-island numeric results must intersect this
- * map with dirtyIslandEndpointSweep() (serve::UpdateApplier does).
- */
-struct IslandProvenance
-{
-    static constexpr uint32_t kNone = ~uint32_t{0};
-    /** Indexed by new island id; size == result.islands.size(). */
-    std::vector<uint32_t> parentOf;
-};
-
-/**
- * The island ids (of `result`) whose per-island aggregation results
- * are invalidated by the applied edges, beyond the islands the update
- * dissolved outright. Degree-normalized aggregation (DESIGN.md) makes
- * every endpoint x of an applied edge change its scale s[x] =
- * 1/sqrt(deg(x)+1), which changes the normalized-adjacency entry of
- * *every* row containing x:
- *  - island-node endpoint: its neighbors lie inside its own island or
- *    in that island's hub list (the coverage invariant), so only its
- *    own island's member rows change -> dirty islandOf[x];
- *  - hub endpoint: its neighbors span islands, so every island-node
- *    neighbor n in the *new* graph has a changed row -> dirty
- *    islandOf[n]. (A partner detached by a removal is handled by the
- *    dissolve-on-remove rules, not this sweep.)
- *
- * Pure function of (new_graph, result, applied edges); returns sorted
- * unique ids. serve::UpdateApplier subtracts these from the published
- * provenance; the incremental fuzz tests replay the same function as
- * the cache-invalidation oracle.
- */
-std::vector<uint32_t>
-dirtyIslandEndpointSweep(const CsrGraph &new_graph,
-                         const IslandizationResult &result,
-                         std::span<const Edge> added,
-                         std::span<const Edge> removed);
-
-/**
  * Update an islandization after edges were added to and/or removed
  * from the graph.
  *
@@ -124,7 +77,6 @@ dirtyIslandEndpointSweep(const CsrGraph &new_graph,
  * @param removed    the removed undirected edges (u, v)
  * @param cfg        locator parameters for the local repair
  * @param stats      optional update statistics
- * @param provenance optional island lineage (see IslandProvenance)
  * @return a valid islandization of new_graph; islands not incident
  *         to the update are preserved verbatim.
  */
@@ -134,8 +86,7 @@ updateIslandization(const CsrGraph &new_graph,
                     std::span<const Edge> added,
                     std::span<const Edge> removed,
                     const LocatorConfig &cfg = {},
-                    IncrementalStats *stats = nullptr,
-                    IslandProvenance *provenance = nullptr);
+                    IncrementalStats *stats = nullptr);
 
 /** Addition-only convenience overload (the pre-deletion API). */
 IslandizationResult

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "serve/agg_cache.hpp"
 #include "spmm/spmm.hpp"
 
 namespace igcn::serve {
@@ -82,191 +81,6 @@ InferenceEngine::InferenceEngine(std::shared_ptr<GraphStateHub> hub,
 {
 }
 
-namespace {
-
-/**
- * Copy an island entry's rows (member-order flat buffer) into the
- * matching rows of h1 under a local-id mapping, marking them skipped
- * and charging the adjacency entries (minus the self loop) the
- * masked spmm will not pull.
- */
-template <typename LocalOf>
-void
-substituteIslandRows(const Island &island, const float *rows,
-                     size_t hidden, const CsrMatrix &a_hat,
-                     LocalOf &&local_of, DenseMatrix &h1,
-                     std::vector<uint8_t> &skip,
-                     BatchExecInfo &info)
-{
-    for (size_t i = 0; i < island.nodes.size(); ++i) {
-        const size_t l = local_of(island.nodes[i]);
-        std::copy_n(rows + i * hidden, hidden, h1.row(l));
-        skip[l] = 1;
-        info.cacheSkippedEdges +=
-            a_hat.rowPtr[l + 1] - a_hat.rowPtr[l] - 1;
-    }
-    info.cacheHits++;
-    info.cacheRows += static_cast<uint32_t>(island.nodes.size());
-}
-
-/** Gather an island's computed h1 rows into a fill buffer. */
-template <typename LocalOf>
-std::vector<float>
-gatherIslandRows(const Island &island, size_t hidden,
-                 const DenseMatrix &h1, LocalOf &&local_of)
-{
-    std::vector<float> rows(island.nodes.size() * hidden);
-    for (size_t i = 0; i < island.nodes.size(); ++i)
-        std::copy_n(h1.row(local_of(island.nodes[i])), hidden,
-                    rows.data() + i * hidden);
-    return rows;
-}
-
-/** Layers past the first: identical to gcn's forwardChain tail. */
-DenseMatrix
-chainTail(const CsrMatrix &a_hat, DenseMatrix current,
-          const std::vector<DenseMatrix> &weights)
-{
-    for (size_t l = 1; l < weights.size(); ++l) {
-        reluInPlace(current);
-        DenseMatrix xw = gemm(current, weights[l]);
-        current = spmmPullRowWise(a_hat, xw);
-    }
-    return current;
-}
-
-} // namespace
-
-DenseMatrix
-InferenceEngine::forwardWholeGraphCached(const GraphState &state,
-                                         BatchExecInfo &info) const
-{
-    // The whole-graph pass touches every island, so all of them are
-    // consultable and every miss can be filled — global layer-1 rows
-    // are exactly what the cache stores.
-    const IslandizationResult &isl = state.islands;
-    const size_t hidden = weights[0].cols();
-    const NodeId n = state.graph.numNodes();
-    DenseMatrix xw0 = features.sparse
-                          ? sparseTimesDense(features.csr, weights[0])
-                          : gemm(features.dense, weights[0]);
-    DenseMatrix h1(n, hidden);
-    std::vector<uint8_t> skip(n, 0);
-    const auto identity = [](NodeId v) { return static_cast<size_t>(v); };
-    info.cacheEligible += static_cast<uint32_t>(isl.islands.size());
-    std::vector<uint32_t> missed;
-    std::vector<float> buf;
-    for (uint32_t id = 0; id < isl.islands.size(); ++id) {
-        const Island &island = isl.islands[id];
-        buf.resize(island.nodes.size() * hidden);
-        if (aggCache->lookup(state.epoch, id, buf.size(), buf.data()))
-            substituteIslandRows(island, buf.data(), hidden,
-                                 state.normAdj, identity, h1, skip,
-                                 info);
-        else
-            missed.push_back(id);
-    }
-    spmmPullRowWiseMasked(state.normAdj, xw0, skip, h1);
-    for (uint32_t id : missed) {
-        aggCache->insert(state.epoch, id,
-                         gatherIslandRows(isl.islands[id], hidden, h1,
-                                          identity));
-        info.cacheFills++;
-    }
-    return chainTail(state.normAdj, std::move(h1), weights);
-}
-
-DenseMatrix
-InferenceEngine::forwardSubgraphCached(const GraphState &state,
-                                       const LHopSubgraph &ext,
-                                       const std::vector<float> &scale,
-                                       BatchExecInfo &info) const
-{
-    const IslandizationResult &isl = state.islands;
-    const size_t hidden = weights[0].cols();
-
-    // Layer-0 combination runs in full — only aggregation rows are
-    // cached — exactly as the subgraphForward overloads do it.
-    DenseMatrix xw0;
-    if (features.sparse) {
-        CsrFeatures x_local = csrGather(features.csr, ext.nodes);
-        xw0 = sparseTimesDense(x_local, weights[0]);
-    } else {
-        DenseMatrix x_local(ext.nodes.size(), features.cols());
-        for (size_t l = 0; l < ext.nodes.size(); ++l)
-            std::copy_n(features.dense.row(ext.nodes[l]),
-                        features.cols(), x_local.row(l));
-        xw0 = gemm(x_local, weights[0]);
-    }
-    CsrMatrix a_hat = normalizedAdjacencyScaled(ext.sub, scale);
-
-    // An island qualifies when its members AND its hub list are all
-    // inside the receptive field: then every member's full global
-    // neighborhood is present (the coverage invariant bounds it by
-    // island ∪ hubs), local ids preserve ascending global order, and
-    // the full-graph scaling is identical — so the island's in-sub
-    // layer-1 member rows equal the whole-graph rows bitwise, making
-    // cached global rows substitutable and computed ones fillable.
-    std::vector<uint8_t> in_field(state.graph.numNodes(), 0);
-    for (NodeId v : ext.nodes)
-        in_field[v] = 1;
-    std::vector<uint32_t> candidates;
-    for (NodeId v : ext.nodes)
-        if (isl.role[v] == NodeRole::IslandNode)
-            candidates.push_back(isl.islandOf[v]);
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(
-        std::unique(candidates.begin(), candidates.end()),
-        candidates.end());
-    std::vector<uint32_t> qualifying;
-    for (uint32_t id : candidates) {
-        const Island &island = isl.islands[id];
-        bool interior = true;
-        for (NodeId m : island.nodes)
-            if (!in_field[m]) {
-                interior = false;
-                break;
-            }
-        if (interior)
-            for (NodeId h : island.hubs)
-                if (!in_field[h]) {
-                    interior = false;
-                    break;
-                }
-        if (interior)
-            qualifying.push_back(id);
-    }
-    info.cacheEligible += static_cast<uint32_t>(qualifying.size());
-
-    const auto local_of = [&ext](NodeId gid) {
-        return static_cast<size_t>(
-            std::lower_bound(ext.nodes.begin(), ext.nodes.end(),
-                             gid) -
-            ext.nodes.begin());
-    };
-    DenseMatrix h1(ext.nodes.size(), hidden);
-    std::vector<uint8_t> skip(ext.nodes.size(), 0);
-    std::vector<uint32_t> missed;
-    std::vector<float> buf;
-    for (uint32_t id : qualifying) {
-        const Island &island = isl.islands[id];
-        buf.resize(island.nodes.size() * hidden);
-        if (aggCache->lookup(state.epoch, id, buf.size(), buf.data()))
-            substituteIslandRows(island, buf.data(), hidden, a_hat,
-                                 local_of, h1, skip, info);
-        else
-            missed.push_back(id);
-    }
-    spmmPullRowWiseMasked(a_hat, xw0, skip, h1);
-    for (uint32_t id : missed) {
-        aggCache->insert(state.epoch, id,
-                         gatherIslandRows(isl.islands[id], hidden, h1,
-                                          local_of));
-        info.cacheFills++;
-    }
-    return chainTail(a_hat, std::move(h1), weights);
-}
-
 std::vector<InferenceResult>
 InferenceEngine::runBatch(std::span<const Request> batch,
                           BatchExecInfo *info) const
@@ -317,26 +131,19 @@ InferenceEngine::runBatch(std::span<const Request> batch,
         // nearly the same size.
         local_info.wholeGraph = true;
         DenseMatrix current;
-        if (aggCache) {
-            aggCache->advanceTo(*state);
-            current = forwardWholeGraphCached(*state, local_info);
-        } else {
-            for (size_t l = 0; l < weights.size(); ++l) {
-                // Layer 0 consumes X in whichever form it is stored;
-                // sparseTimesDense matches gemm bit-for-bit on the
-                // same logical matrix, so both forms serve identical
-                // logits.
-                DenseMatrix xw =
-                    (l == 0)
-                        ? (features.sparse
-                               ? sparseTimesDense(features.csr,
-                                                  weights[l])
-                               : gemm(features.dense, weights[l]))
-                        : gemm(current, weights[l]);
-                current = spmmPullRowWise(state->normAdj, xw);
-                if (l + 1 < weights.size())
-                    reluInPlace(current);
-            }
+        for (size_t l = 0; l < weights.size(); ++l) {
+            // Layer 0 consumes X in whichever form it is stored;
+            // sparseTimesDense matches gemm bit-for-bit on the same
+            // logical matrix, so both forms serve identical logits.
+            DenseMatrix xw =
+                (l == 0) ? (features.sparse
+                                ? sparseTimesDense(features.csr,
+                                                   weights[l])
+                                : gemm(features.dense, weights[l]))
+                         : gemm(current, weights[l]);
+            current = spmmPullRowWise(state->normAdj, xw);
+            if (l + 1 < weights.size())
+                reluInPlace(current);
         }
         out_rows = DenseMatrix(targets.size(), numClasses());
         for (size_t i = 0; i < targets.size(); ++i)
@@ -351,15 +158,7 @@ InferenceEngine::runBatch(std::span<const Request> batch,
         for (size_t l = 0; l < ext.nodes.size(); ++l)
             scale_local[l] = state->scale[ext.nodes[l]];
         DenseMatrix sub_out;
-        if (aggCache) {
-            // The cached chain is the same operation sequence as
-            // subgraphForward with layer-1 rows of fully-interior
-            // islands substituted (bit-identical by construction;
-            // see forwardSubgraphCached).
-            aggCache->advanceTo(*state);
-            sub_out = forwardSubgraphCached(*state, ext, scale_local,
-                                            local_info);
-        } else if (features.sparse) {
+        if (features.sparse) {
             // Gather the receptive field's feature rows in CSR form:
             // O(field nnz) moved, never the dense rows * cols image.
             CsrFeatures x_local = csrGather(features.csr, ext.nodes);

@@ -28,8 +28,6 @@
 
 namespace igcn::serve {
 
-class AggCache;
-
 /** One epoch of the evolving graph. Immutable after publication. */
 struct GraphState
 {
@@ -40,24 +38,6 @@ struct GraphState
     std::vector<float> scale;
     /** Whole-graph A_hat for the large-batch fallback path. */
     CsrMatrix normAdj;
-
-    // Epoch delta for per-island aggregation caches (AggCache).
-    // States built from scratch (makeGraphState) have no parent;
-    // the update applier fills the lineage on every published epoch.
-    /** True when this epoch was derived from parentEpoch by one
-     *  update application. */
-    bool hasParent = false;
-    uint64_t parentEpoch = 0;
-    /**
-     * For each island id of this epoch: the parent epoch's island id
-     * whose cached layer-1 aggregate is still byte-valid, or
-     * AggCache::kNoParent. Already the *intersection* of structural
-     * provenance (updateIslandization's verbatim-preserved slots)
-     * with the endpoint dirty sweep (dirtyIslandEndpointSweep) — a
-     * surviving id here means no applied edge changed any member
-     * row's normalized-adjacency entries or inputs.
-     */
-    std::vector<uint32_t> aggProvenance;
 };
 
 /** Islandize g and precompute the epoch's derived state. */
@@ -94,19 +74,6 @@ struct BatchExecInfo
     uint64_t subEdges = 0;
     /** True when the batch fell back to a whole-graph pass. */
     bool wholeGraph = false;
-
-    // Aggregation-cache accounting (all zero when no cache attached).
-    /** Islands fully interior to the receptive field (consultable). */
-    uint32_t cacheEligible = 0;
-    /** Of those, islands served from the cache. */
-    uint32_t cacheHits = 0;
-    /** Entries filled from this batch's computed rows. */
-    uint32_t cacheFills = 0;
-    /** Layer-1 rows substituted from the cache. */
-    uint32_t cacheRows = 0;
-    /** Adjacency entries (self loops excluded) the masked layer-1
-     *  spmm skipped thanks to those rows. */
-    uint64_t cacheSkippedEdges = 0;
 };
 
 /**
@@ -151,34 +118,16 @@ class InferenceEngine
     int numLayers() const { return static_cast<int>(weights.size()); }
     size_t numClasses() const { return weights.back().cols(); }
 
-    /**
-     * Attach (or detach, nullptr) a per-island layer-1 aggregation
-     * cache. With a cache attached the engine substitutes cached
-     * rows for islands fully interior to a batch's receptive field
-     * and fills misses from the rows it computes anyway — logits are
-     * bit-identical to the cacheless engine by construction (see
-     * agg_cache.hpp). Not owned; must outlive the engine's batches.
-     */
-    void attachAggCache(AggCache *cache) { aggCache = cache; }
-
     /** Serve one inference micro-batch against the current epoch. */
     std::vector<InferenceResult>
     runBatch(std::span<const Request> batch,
              BatchExecInfo *info = nullptr) const;
 
   private:
-    DenseMatrix forwardWholeGraphCached(const GraphState &state,
-                                        BatchExecInfo &info) const;
-    DenseMatrix forwardSubgraphCached(const GraphState &state,
-                                      const LHopSubgraph &ext,
-                                      const std::vector<float> &scale,
-                                      BatchExecInfo &info) const;
-
     std::shared_ptr<GraphStateHub> hub;
     Features features;
     std::vector<DenseMatrix> weights;
     double wholeGraphFraction;
-    AggCache *aggCache = nullptr;
 };
 
 } // namespace igcn::serve

@@ -1,6 +1,6 @@
 #include "serve/queue.hpp"
 
-#include <chrono>
+#include <algorithm>
 
 namespace igcn::serve {
 
@@ -62,40 +62,19 @@ RequestQueue::popHead(Request &out)
     return Pop::Got;
 }
 
-bool
-RequestQueue::peekHeadArrival(uint64_t &arrival_us) const
+RequestQueue::Pop
+RequestQueue::popKindBefore(RequestKind kind, uint64_t deadline_us,
+                            Request &out)
 {
     MutexLock lock(mutex);
     if (items.empty())
-        return false;
-    arrival_us = items.front().arrivalUs;
-    return true;
-}
-
-RequestQueue::Pop
-RequestQueue::popKindBefore(RequestKind kind, uint64_t deadline_us,
-                            bool wait, const NowFn &now_us, Request &out)
-{
-    MutexLock lock(mutex);
-    for (;;) {
-        if (!items.empty()) {
-            const Request &head = items.front();
-            if (head.kind != kind || head.arrivalUs > deadline_us)
-                return Pop::NotReady;
-            out = std::move(items.front());
-            items.pop_front();
-            return Pop::Got;
-        }
-        if (isClosed)
-            return Pop::Closed;
-        if (!wait)
-            return Pop::NotReady;
-        const uint64_t now = now_us();
-        if (now >= deadline_us)
-            return Pop::NotReady;
-        cv.wait_for(mutex,
-                    std::chrono::microseconds(deadline_us - now));
-    }
+        return isClosed ? Pop::Closed : Pop::NotReady;
+    const Request &head = items.front();
+    if (head.kind != kind || head.arrivalUs > deadline_us)
+        return Pop::NotReady;
+    out = std::move(items.front());
+    items.pop_front();
+    return Pop::Got;
 }
 
 // ------------------------------------------------------------ EdfQueue

@@ -12,11 +12,12 @@
  *
  * Two clock disciplines share one implementation:
  *  - virtual (replay) mode: the driver pre-loads the entire trace and
- *    closes the queue; pops never block and batching decisions are a
- *    pure function of the trace timestamps and the scheduler config;
+ *    closes the queue; batching decisions are a pure function of the
+ *    trace timestamps and the scheduler config;
  *  - real-time mode: arrivals are stamped by the server clock and
- *    popKindBefore blocks until the batching deadline, an eligible
- *    head, or close.
+ *    popHead blocks until a request is queued or the queue closes.
+ * In both, the batch is filled by popKindBefore, which never blocks:
+ * it takes only requests already queued when the batch starts.
  */
 
 #pragma once
@@ -66,25 +67,13 @@ class RequestQueue
     Pop popHead(Request &out);
 
     /**
-     * Pop the head only if it is a `kind` request with arrival <=
-     * deadline_us. With wait=false (virtual mode) the decision is
-     * immediate: a missing head, a different kind, or a later arrival
-     * is NotReady. With wait=true (real-time mode) an empty queue
-     * blocks until now_us() passes deadline_us, an eligible head
-     * appears, or the queue closes; an ineligible head is NotReady
-     * immediately (it closes the batch).
+     * Non-blocking pop of the head only if it is a `kind` request
+     * with arrival <= deadline_us: an empty queue, a different kind,
+     * or a later arrival is NotReady (an empty closed queue is
+     * Closed).
      */
-    Pop popKindBefore(RequestKind kind, uint64_t deadline_us, bool wait,
-                      const NowFn &now_us, Request &out);
-
-    /**
-     * Arrival time of the current head without popping it; false when
-     * the queue is empty. The virtual-mode scheduler uses this to
-     * dispatch a partial batch the moment its closing request (an
-     * already-queued head of the other kind) arrived, rather than
-     * charging the full batching deadline.
-     */
-    bool peekHeadArrival(uint64_t &arrival_us) const;
+    Pop popKindBefore(RequestKind kind, uint64_t deadline_us,
+                      Request &out);
 
   private:
     mutable Mutex mutex;

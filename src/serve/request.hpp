@@ -171,11 +171,6 @@ struct UpdateResult
      *  cancelled inside the span (benign duplicates, not trace bugs —
      *  the distinction edgesSkippedInvalid exists to keep). */
     size_t edgesSkippedNoop = 0;
-    /** Total events dropped, either way. */
-    size_t edgesSkipped() const
-    {
-        return edgesSkippedInvalid + edgesSkippedNoop;
-    }
     uint64_t arrivalUs = 0;
     uint64_t startUs = 0;
     uint64_t doneUs = 0;

@@ -37,8 +37,8 @@ Scheduler::next(uint64_t not_before_us, MicroBatch &out)
     out.requests.push_back(std::move(first));
     Request r;
     while (out.requests.size() < cap &&
-           queue.popKindBefore(out.kind, start, /*wait=*/false, nowUs,
-                               r) == RequestQueue::Pop::Got)
+           queue.popKindBefore(out.kind, start, r) ==
+               RequestQueue::Pop::Got)
         out.requests.push_back(std::move(r));
 
     // The dispatch moment: the batch boundary is the engine-free

@@ -8,14 +8,15 @@
  * arrival) and admits the same-kind requests with arrival <= start,
  * up to the kind's size cap — the batch is whatever is eligible when
  * the engine frees up, with no straggler wait. The legacy rule
- * instead held the batch open until start + maxWaitUs, taxing every
- * admitted request with the wait for stragglers even when the size
- * cap had headroom; tests/test_serving.cpp pins the differential
- * against an in-test model of that rule. A head of the other kind
- * closes the batch — FCFS order between inference and updates is
- * never violated, which is what makes per-request results
- * independent of the batch cap (an update can never jump ahead of,
- * or fall behind, an inference request it raced in arrival order).
+ * instead held the batch open for a fixed straggler window after
+ * start, taxing every admitted request with the wait for stragglers
+ * even when the size cap had headroom; tests/test_serving.cpp pins
+ * the differential against an in-test model of that rule. A head of
+ * the other kind closes the batch — FCFS order between inference
+ * and updates is never violated, which is what makes per-request
+ * results independent of the batch cap (an update can never jump
+ * ahead of, or fall behind, an inference request it raced in arrival
+ * order).
  * Consecutive updates coalesce into one application regardless of
  * whether they add or delete edges — the applier folds the mixed
  * span into one last-write-wins net effect (the mixed-span
@@ -39,11 +40,6 @@ struct SchedulerConfig
 {
     /** Inference micro-batch size cap. */
     uint32_t maxBatch = 32;
-    /** DEPRECATED — ignored. The legacy straggler-wait deadline of
-     *  the drain-then-admit rule; continuous batching admits by the
-     *  engine-free instant alone. Kept so existing configs and CLI
-     *  invocations stay valid. */
-    uint64_t maxWaitUs = 200;
     /** Consecutive update requests folded into one application. */
     uint32_t maxUpdateCoalesce = 64;
 };
@@ -64,8 +60,9 @@ class Scheduler
     /**
      * @param queue      the queue to drain
      * @param cfg        batching knobs
-     * @param real_time  block for late arrivals (live traffic) rather
-     *                   than deciding from timestamps (trace replay)
+     * @param real_time  stamp dispatch times from now_us (live
+     *                   traffic) rather than from trace timestamps
+     *                   (trace replay)
      * @param now_us     server clock, required when real_time
      */
     Scheduler(RequestQueue &queue, SchedulerConfig cfg, bool real_time,

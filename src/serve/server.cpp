@@ -14,16 +14,9 @@ ServiceModel::inferenceCostUs(const BatchExecInfo &info,
     const double nodes = info.wholeGraph
         ? static_cast<double>(graph_nodes)
         : static_cast<double>(info.subNodes);
-    double edges = info.wholeGraph
+    const double edges = info.wholeGraph
         ? static_cast<double>(graph_edges)
         : static_cast<double>(info.subEdges);
-    // Aggregation-cache hits skip the layer-1 edge sweep for the
-    // substituted rows; the cost model charges only the edges the
-    // batch actually traversed. Skipped edges never exceed the
-    // batch's edge count (self-loops are excluded from the skip
-    // accounting), but clamp defensively.
-    edges = std::max(
-        0.0, edges - static_cast<double>(info.cacheSkippedEdges));
     const double cost = inferenceFixedUs +
         perTargetUs * static_cast<double>(info.targets) +
         perSubNodeUs * nodes + perSubEdgeUs * edges;
@@ -49,12 +42,7 @@ Server::Server(CsrGraph g, Features features,
       engine(hub, std::move(features), std::move(weights),
              cfg.wholeGraphFraction),
       applier(hub, cfg.locator)
-{
-    if (cfg.aggCache.enabled) {
-        aggCachePtr = std::make_unique<AggCache>(cfg.aggCache);
-        engine.attachAggCache(aggCachePtr.get());
-    }
-}
+{}
 
 Server::Server(CsrGraph g, DenseMatrix features,
                std::vector<DenseMatrix> weights, ServerConfig cfg)
@@ -96,12 +84,7 @@ Server::traceInferenceBatch(uint64_t formed_us, uint64_t done_us,
                      {"targets", info.targets},
                      {"sub_nodes", nodes},
                      {"sub_edges", edges},
-                     {"whole_graph", info.wholeGraph ? 1u : 0u},
-                     {"cache_eligible", info.cacheEligible},
-                     {"cache_hits", info.cacheHits},
-                     {"cache_fills", info.cacheFills},
-                     {"cache_rows", info.cacheRows},
-                     {"cache_skipped_edges", info.cacheSkippedEdges}});
+                     {"whole_graph", info.wholeGraph ? 1u : 0u}});
 
     // Phase children subdividing [formed, done] proportionally to
     // integer work units (+1 floors so a phase never vanishes):
@@ -213,8 +196,6 @@ Server::processBatch(const MicroBatch &batch, bool real_time,
             report.inference.push_back(std::move(r));
         }
         statsAcc.recordInferenceBatch(info);
-        if (aggCachePtr)
-            statsAcc.recordAggCache(aggCachePtr->stats());
         busy_until_us = done;
     } else {
         UpdateResult res = applier.apply(batch.requests);
@@ -241,8 +222,6 @@ Server::runTrace(std::vector<Request> trace)
                      });
     report = ReplayReport{};
     statsAcc.reset(); // each run reports its own telemetry
-    if (aggCachePtr)
-        aggCachePtr->reset(); // no cross-run carry-over
     tracer.setEnabled(cfg.obs.traceEnabled);
     tracer.clear();
     batchSeq = 0;
@@ -316,8 +295,6 @@ Server::handleSloDecision(SloScheduler::Decision &d, bool real_time,
             report.inference.push_back(std::move(r));
         }
         statsAcc.recordInferenceBatch(info);
-        if (aggCachePtr)
-            statsAcc.recordAggCache(aggCachePtr->stats());
         busy_until_us = done;
     } else {
         UpdateResult res = applier.apply(d.batch.requests);
@@ -438,8 +415,6 @@ Server::start()
     clock.reset();
     report = ReplayReport{};
     statsAcc.reset();
-    if (aggCachePtr)
-        aggCachePtr->reset();
     tracer.setEnabled(cfg.obs.traceEnabled);
     tracer.clear();
     batchSeq = 0;

@@ -17,8 +17,9 @@
  *
  *  - **Real-time serving** (start / submit / stop): producers submit
  *    requests stamped with the live server clock; a scheduler thread
- *    forms batches with real deadline waits and measures wall-clock
- *    latencies. Same queue, scheduler, engine, and applier.
+ *    forms batches from what has arrived whenever the engine frees up
+ *    and measures wall-clock latencies. Same queue, scheduler,
+ *    engine, and applier.
  */
 
 #pragma once
@@ -29,7 +30,6 @@
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_annotations.hpp"
-#include "serve/agg_cache.hpp"
 #include "serve/queue.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/stats.hpp"
@@ -91,9 +91,6 @@ struct ServerConfig
     FaultPlan faults;
     /** Observability: span tracing on/off. */
     ObsConfig obs;
-    /** Epoch-keyed island-aggregation cache (serve/agg_cache.hpp).
-     *  Off by default; results are byte-identical either way. */
-    AggCacheConfig aggCache;
 };
 
 /** Everything a run produced, in dispatch order. */
@@ -187,8 +184,6 @@ class Server
     std::shared_ptr<GraphStateHub> hub;
     InferenceEngine engine;
     UpdateApplier applier;
-    /** Present iff cfg.aggCache.enabled; attached to the engine. */
-    std::unique_ptr<AggCache> aggCachePtr;
     ServerStats statsAcc;
     ReplayReport report;
     obs::TraceRecorder tracer;

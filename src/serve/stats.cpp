@@ -109,25 +109,6 @@ ServerStats::ServerStats()
     strictViolations = &reg->counter(
         "igcn_serve_strict_deadline_violations_total", {},
         "Strict-freshness requests started past their deadline");
-    aggHits = &reg->counter("igcn_serve_agg_cache_hits_total", {},
-                            "Island aggregates served from cache");
-    aggMisses =
-        &reg->counter("igcn_serve_agg_cache_misses_total", {},
-                      "Island cache lookups that fell through");
-    aggFills = &reg->counter("igcn_serve_agg_cache_fills_total", {},
-                             "Island aggregates inserted");
-    aggEvictions =
-        &reg->counter("igcn_serve_agg_cache_evictions_total", {},
-                      "Cache entries evicted by the byte budget");
-    aggInvalidated =
-        &reg->counter("igcn_serve_agg_cache_invalidated_total", {},
-                      "Cache entries dropped by epoch advance");
-    aggClears = &reg->counter("igcn_serve_agg_cache_clears_total",
-                              {}, "Whole-cache drops (lineage gap)");
-    aggBytes = &reg->gauge("igcn_serve_agg_cache_bytes", {},
-                           "Current cache payload bytes");
-    aggEntries = &reg->gauge("igcn_serve_agg_cache_entries", {},
-                             "Current cache entry count");
     queueDepth = &reg->gauge("igcn_serve_queue_depth", {},
                              "Waiting-queue depth after admission");
     queueDepthMax = &reg->gauge("igcn_serve_queue_depth_max", {},
@@ -143,7 +124,6 @@ ServerStats::reset()
     firstArrivalUs = ~uint64_t{0};
     lastDoneUs = 0;
     lastKind = -1;
-    lastAgg = AggCacheStats{};
 }
 
 ServerStats::TenantCells &
@@ -246,20 +226,6 @@ ServerStats::recordInferenceBatch(const BatchExecInfo &info)
     if (lastKind >= 0 && lastKind != kind)
         interleaveCount->inc();
     lastKind = kind;
-}
-
-void
-ServerStats::recordAggCache(const AggCacheStats &s)
-{
-    aggHits->add(s.hits - lastAgg.hits);
-    aggMisses->add(s.misses - lastAgg.misses);
-    aggFills->add(s.fills - lastAgg.fills);
-    aggEvictions->add(s.evictions - lastAgg.evictions);
-    aggInvalidated->add(s.invalidated - lastAgg.invalidated);
-    aggClears->add(s.clears - lastAgg.clears);
-    aggBytes->set(static_cast<int64_t>(s.bytes));
-    aggEntries->set(static_cast<int64_t>(s.entries));
-    lastAgg = s;
 }
 
 void
@@ -489,58 +455,6 @@ ServerStats::meanBatchSize() const
            static_cast<double>(infBatches->value());
 }
 
-uint64_t
-ServerStats::aggCacheHits() const
-{
-    return aggHits->value();
-}
-
-uint64_t
-ServerStats::aggCacheMisses() const
-{
-    return aggMisses->value();
-}
-
-uint64_t
-ServerStats::aggCacheFills() const
-{
-    return aggFills->value();
-}
-
-uint64_t
-ServerStats::aggCacheEvictions() const
-{
-    return aggEvictions->value();
-}
-
-uint64_t
-ServerStats::aggCacheInvalidated() const
-{
-    return aggInvalidated->value();
-}
-
-uint64_t
-ServerStats::aggCacheBytes() const
-{
-    return static_cast<uint64_t>(aggBytes->value());
-}
-
-uint64_t
-ServerStats::aggCacheEntries() const
-{
-    return static_cast<uint64_t>(aggEntries->value());
-}
-
-double
-ServerStats::aggCacheHitRate() const
-{
-    const uint64_t lookups = aggHits->value() + aggMisses->value();
-    if (lookups == 0)
-        return 0.0;
-    return static_cast<double>(aggHits->value()) /
-           static_cast<double>(lookups);
-}
-
 double
 ServerStats::meanSubgraphNodes() const
 {
@@ -584,22 +498,6 @@ ServerStats::summary() const
         static_cast<unsigned long long>(interleaveCount->value()),
         meanSubgraphNodes());
     std::string out = buf;
-    if (aggHits->value() + aggMisses->value() > 0) {
-        std::snprintf(
-            buf, sizeof(buf),
-            "agg cache: %.1f%% hit rate (%llu hits, %llu misses), "
-            "%llu fills, %llu evictions, %llu invalidated, "
-            "%llu entries / %llu bytes resident\n",
-            100.0 * aggCacheHitRate(),
-            static_cast<unsigned long long>(aggHits->value()),
-            static_cast<unsigned long long>(aggMisses->value()),
-            static_cast<unsigned long long>(aggFills->value()),
-            static_cast<unsigned long long>(aggEvictions->value()),
-            static_cast<unsigned long long>(aggInvalidated->value()),
-            static_cast<unsigned long long>(aggEntries->value()),
-            static_cast<unsigned long long>(aggBytes->value()));
-        out += buf;
-    }
     const uint64_t admitted = admittedRequests();
     const uint64_t rejected = rejectedRequests();
     const uint64_t overloaded = overloadedRequests();

@@ -28,7 +28,6 @@
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "serve/agg_cache.hpp"
 #include "serve/engine.hpp"
 #include "serve/request.hpp"
 
@@ -88,14 +87,6 @@ class ServerStats
 
     void recordInference(const InferenceResult &r);
     void recordInferenceBatch(const BatchExecInfo &info);
-    /**
-     * Fold a cumulative AggCacheStats snapshot into the registry.
-     * Counters advance by the delta against the previous snapshot
-     * (snapshots are monotone within a run; the cache and the stats
-     * are reset together at run start), gauges track the current
-     * bytes/entries. Call after each inference batch.
-     */
-    void recordAggCache(const AggCacheStats &s);
     void recordUpdate(const UpdateResult &r);
     /** Record an admitted request (SLO path). */
     void recordAdmission(uint32_t tenant);
@@ -155,17 +146,6 @@ class ServerStats
     double meanBatchSize() const;
     double meanSubgraphNodes() const;
 
-    // Aggregation-cache accessors (all zero when the cache is off).
-    uint64_t aggCacheHits() const;
-    uint64_t aggCacheMisses() const;
-    uint64_t aggCacheFills() const;
-    uint64_t aggCacheEvictions() const;
-    uint64_t aggCacheInvalidated() const;
-    uint64_t aggCacheBytes() const;
-    uint64_t aggCacheEntries() const;
-    /** hits / (hits + misses); 0 when no lookups happened. */
-    double aggCacheHitRate() const;
-
     /** Multi-line human-readable summary (CLI / bench output). */
     std::string summary() const;
 
@@ -211,14 +191,6 @@ class ServerStats
     obs::Counter *subBatchesTotal;
     obs::Counter *staleServeCount;
     obs::Counter *strictViolations;
-    obs::Counter *aggHits;
-    obs::Counter *aggMisses;
-    obs::Counter *aggFills;
-    obs::Counter *aggEvictions;
-    obs::Counter *aggInvalidated;
-    obs::Counter *aggClears;
-    obs::Gauge *aggBytes;
-    obs::Gauge *aggEntries;
     obs::Gauge *queueDepth;
     obs::Gauge *queueDepthMax;
     std::map<uint32_t, TenantCells> tenantCache;
@@ -227,8 +199,6 @@ class ServerStats
     uint64_t firstArrivalUs = ~uint64_t{0};
     uint64_t lastDoneUs = 0;
     int lastKind = -1; // -1 none, else RequestKind cast
-    /** Previous cumulative cache snapshot (delta base). */
-    AggCacheStats lastAgg;
 };
 
 } // namespace igcn::serve

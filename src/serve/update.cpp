@@ -85,22 +85,9 @@ UpdateApplier::apply(std::span<const Request> batch)
     // presence-changing spans, exactly withEditedEdges' contract; one
     // merge sweep replaces the two-pass add-then-remove rebuild.
     next->graph = cur->graph.withEditedEdges(fresh, stale);
-    IslandProvenance prov;
     next->islands = updateIslandization(next->graph, cur->islands,
                                         fresh, stale, locator,
-                                        &res.stats, &prov);
-    // Epoch delta for the aggregation cache: structural provenance
-    // (verbatim-preserved islands) intersected with the endpoint
-    // dirty sweep — a structurally untouched island whose
-    // normalized-adjacency values changed (absorbed intra-island
-    // edge, degree change of a listed hub) must not carry its cached
-    // aggregate forward.
-    for (uint32_t dirty_id : dirtyIslandEndpointSweep(
-             next->graph, next->islands, fresh, stale))
-        prov.parentOf[dirty_id] = IslandProvenance::kNone;
-    next->hasParent = true;
-    next->parentEpoch = cur->epoch;
-    next->aggProvenance = std::move(prov.parentOf);
+                                        &res.stats);
     next->scale = degreeScaling(next->graph);
     // Copying drops the CSC cache by construction; the refresh
     // mutates the arrays in place and re-asserts the invalidation,

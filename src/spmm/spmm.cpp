@@ -65,7 +65,7 @@ void
 gatherTiled(const std::vector<EdgeId> &ptr,
             const std::vector<NodeId> &idx,
             const std::vector<float> &val, const DenseMatrix &b,
-            DenseMatrix &c, const uint8_t *skip_row = nullptr)
+            DenseMatrix &c)
 {
     const size_t channels = b.cols();
     constexpr size_t kChannelTile = 64;
@@ -78,12 +78,6 @@ gatherTiled(const std::vector<EdgeId> &ptr,
         for (size_t ch0 = 0; ch0 < channels; ch0 += kChannelTile) {
             const size_t ch1 = std::min(channels, ch0 + kChannelTile);
             for (size_t i = r0; i < r1; ++i) {
-                // The skip never reorders anything: each unskipped
-                // row accumulates exactly as without a mask (rows
-                // are single-worker), so masking preserves the
-                // kernel's bit-identity contract row by row.
-                if (skip_row && skip_row[i])
-                    continue;
                 float *crow = c.row(i);
                 for (EdgeId e = ptr[i]; e < ptr[i + 1]; ++e) {
                     const float v = val[e];
@@ -128,42 +122,6 @@ spmmPullRowWise(const CsrMatrix &a, const DenseMatrix &b,
         *counters += cnt;
     }
     return c;
-}
-
-void
-spmmPullRowWiseMasked(const CsrMatrix &a, const DenseMatrix &b,
-                      std::span<const uint8_t> skip_row,
-                      DenseMatrix &c, SpmmCounters *counters)
-{
-    checkShapes(a, b);
-    if (skip_row.size() != a.numRows)
-        throw std::invalid_argument(
-            "spmmPullRowWiseMasked: mask size != rows");
-    if (c.rows() != a.numRows || c.cols() != b.cols())
-        throw std::invalid_argument(
-            "spmmPullRowWiseMasked: output shape mismatch");
-    KernelRegion region("spmm_pull_row_wise");
-
-    gatherTiled(a.rowPtr, a.colIdx, a.values, b, c, skip_row.data());
-
-    // Counters account only the work actually done: skipped rows
-    // pull nothing and write nothing.
-    if (counters) {
-        SpmmCounters cnt;
-        const size_t channels = b.cols();
-        uint64_t live_nnz = 0, live_rows = 0;
-        for (NodeId i = 0; i < a.numRows; ++i) {
-            if (skip_row[i])
-                continue;
-            live_rows++;
-            live_nnz += a.rowPtr[i + 1] - a.rowPtr[i];
-        }
-        cnt.aReads = live_nnz;
-        cnt.bIrregularReads = live_nnz * channels;
-        cnt.macOps = live_nnz * channels;
-        cnt.cStreamedWrites = live_rows * channels;
-        *counters += cnt;
-    }
 }
 
 DenseMatrix

@@ -105,22 +105,6 @@ DenseMatrix spmmPullRowWise(const CsrMatrix &a, const DenseMatrix &b,
                             SpmmCounters *counters = nullptr);
 
 /**
- * spmmPullRowWise into a caller-provided output with a row skip
- * mask: rows i with skip_row[i] != 0 are left exactly as the caller
- * pre-filled them; every other row of c must arrive zeroed and is
- * accumulated identically to spmmPullRowWise — same edge order, same
- * channel tiling, same worker sharding — so unskipped rows are
- * bit-identical to the unmasked kernel at any IGCN_THREADS. This is
- * the serving cache's substitution point: skipped rows carry cached
- * layer-1 aggregates (serve/agg_cache.hpp). skip_row must have
- * a.numRows entries and c the product's shape.
- */
-void spmmPullRowWiseMasked(const CsrMatrix &a, const DenseMatrix &b,
-                           std::span<const uint8_t> skip_row,
-                           DenseMatrix &c,
-                           SpmmCounters *counters = nullptr);
-
-/**
  * PULL-Inner-Product (Figure 2-b2): output elements produced one
  * channel at a time; B is fetched column-by-column.
  */

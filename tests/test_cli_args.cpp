@@ -8,6 +8,11 @@
  * `--render --foo` wrote a plot to a file named "1". Valueless flags
  * are now presence-only: has() sees them, but asking one for a value
  * throws, and stray positional tokens are reported as parse errors.
+ *
+ * Unknown keys used to be silently ignored too: `igcn serve --trace
+ * --batch-cp 8` ran with the default cap and exited 0. Each
+ * subcommand now lists the keys it reads (tools/commands.hpp), and
+ * main() rejects any other key with a usage error.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +25,7 @@
 #include "graph/generators.hpp"
 #include "tools/args.hpp"
 #include "tools/cli_io.hpp"
+#include "tools/commands.hpp"
 
 namespace {
 
@@ -179,6 +185,45 @@ TEST(CliLoadGraphArg, LoadsAValidFile)
     Args a = parse({"--in", path});
     EXPECT_EQ(igcn::cli::loadGraphArg(a), g);
     std::remove(path.c_str());
+}
+
+TEST(CliArgs, UnknownKeysAreThoseOutsideTheKnownList)
+{
+    Args a = parse({"--nodes", "5", "--parallel", "--nodse=7"});
+    EXPECT_EQ(a.unknownKeys({"nodes", "parallel"}),
+              (std::vector<std::string>{"nodse"}));
+    EXPECT_TRUE(a.unknownKeys({"nodes", "parallel", "nodse"}).empty());
+    EXPECT_TRUE(parse({}).unknownKeys({}).empty());
+}
+
+TEST(CliCommandOptions, ServeRejectsMisspeltAndRetiredOptions)
+{
+    const std::vector<std::string> *serve =
+        igcn::cli::commandOptions("serve");
+    ASSERT_NE(serve, nullptr);
+    // A typo of --batch-cap, and the flags of the removed
+    // aggregation cache and straggler wait.
+    Args a = parse({"--trace", "--batch-cp", "8", "--agg-cache",
+                    "--agg-cache-mb", "16", "--max-wait-us", "200"});
+    EXPECT_EQ(a.unknownKeys(*serve),
+              (std::vector<std::string>{"agg-cache", "agg-cache-mb",
+                                        "batch-cp", "max-wait-us"}));
+    Args ok = parse({"--trace", "--batch-cap", "8", "--dataset",
+                     "cora", "--zipf-alpha", "1.1", "--trace-out",
+                     "t.json", "--metrics-out", "m.prom"});
+    EXPECT_TRUE(ok.unknownKeys(*serve).empty());
+}
+
+TEST(CliCommandOptions, EveryCommandHasATableAndUnknownCommandsNone)
+{
+    for (const char *cmd : {"generate", "info", "islandize", "reorder",
+                            "simulate", "serve"})
+        EXPECT_NE(igcn::cli::commandOptions(cmd), nullptr) << cmd;
+    EXPECT_EQ(igcn::cli::commandOptions("serv"), nullptr);
+    // Options are per command: --trace belongs to serve only.
+    EXPECT_EQ(parse({"--trace"}).unknownKeys(
+                  *igcn::cli::commandOptions("simulate")),
+              (std::vector<std::string>{"trace"}));
 }
 
 } // namespace

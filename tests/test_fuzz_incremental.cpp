@@ -38,17 +38,13 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <set>
 #include <vector>
 
 #include "core/incremental.hpp"
 #include "core/redundancy.hpp"
-#include "gcn/layer.hpp"
 #include "graph/generators.hpp"
 #include "runtime/thread_pool.hpp"
-#include "serve/agg_cache.hpp"
-#include "spmm/spmm.hpp"
 
 namespace igcn {
 namespace {
@@ -414,130 +410,6 @@ TEST(FuzzIncremental, AddRemoveStreamsMatchFromScratchAtAllThreadCounts)
         }
     }
     setGlobalThreads(0);
-}
-
-TEST(FuzzIncremental, CacheSurvivorsMatchColdRecomputeAtAllThreadCounts)
-{
-    // The aggregation cache's invalidation-sufficiency oracle
-    // (serve/agg_cache.hpp): over every seeded add/remove stream,
-    // feed an AggCache the per-island layer-1 rows of each epoch and
-    // advance it through the real epoch delta — structural
-    // provenance from updateIslandization intersected with
-    // dirtyIslandEndpointSweep. Every entry that *survives* an
-    // advance was filled from the previous epoch's graph; it must be
-    // bit-identical to a cold recompute on the new graph, at
-    // IGCN_THREADS 1, 4 and 8. A provenance or dirty-sweep bug that
-    // lets a changed island carry its old bytes forward fails the
-    // memcmp; the cross-thread stats comparison pins the hit/miss
-    // sequence as thread-invariant.
-    const int seeds = fuzzSeedsPerFamily();
-    LocatorConfig cfg;
-    const int feat = 8, hidden = 8;
-
-    const auto layer1 = [&](const CsrGraph &g, const DenseMatrix &x,
-                            const DenseMatrix &w0) {
-        return spmmPullRowWise(normalizedAdjacency(g), gemm(x, w0));
-    };
-    const auto islandRows = [&](const Island &island,
-                                const DenseMatrix &h1) {
-        std::vector<float> rows;
-        rows.reserve(island.nodes.size() * hidden);
-        for (NodeId v : island.nodes)
-            rows.insert(rows.end(), h1.row(v), h1.row(v) + hidden);
-        return rows;
-    };
-
-    for (const Family &family : kFamilies) {
-        for (int seed = 0; seed < seeds; ++seed) {
-            const std::string ctx = std::string(family.name) +
-                " seed " + std::to_string(seed) + " (agg-cache)";
-            const CsrGraph g0 =
-                family.make(3000 + static_cast<uint64_t>(seed));
-            const std::vector<Batch> stream =
-                makeStream(g0, 53 * seed + 11, /*num_batches=*/5,
-                           /*events_per_batch=*/14, nullptr);
-            Rng rng(91 * seed + 2);
-            DenseMatrix x(g0.numNodes(), feat);
-            x.fillRandom(rng, 1.0f);
-            DenseMatrix w0(feat, hidden);
-            w0.fillRandom(rng, 0.5f);
-
-            std::vector<serve::AggCacheStats> perThread;
-            for (int threads : {1, 4, 8}) {
-                setGlobalThreads(threads);
-                const std::string tctx =
-                    ctx + " @ " + std::to_string(threads) + "T";
-                CsrGraph g = g0;
-                IslandizationResult isl = islandize(g, cfg);
-                serve::AggCache cache(
-                    {.enabled = true, .maxBytes = 1ull << 30});
-                uint64_t epoch = 0;
-                cache.advance(epoch, false, 0, {});
-                DenseMatrix h1 = layer1(g, x, w0);
-                for (uint32_t i = 0; i < isl.islands.size(); ++i)
-                    cache.insert(epoch, i,
-                                 islandRows(isl.islands[i], h1));
-
-                uint64_t survivors = 0;
-                for (size_t b = 0; b < stream.size(); ++b) {
-                    const Batch &batch = stream[b];
-                    CsrGraph next = g.withEditedEdges(batch.adds,
-                                                      batch.removes);
-                    IslandProvenance prov;
-                    isl = updateIslandization(next, isl, batch.adds,
-                                              batch.removes, cfg,
-                                              nullptr, &prov);
-                    g = std::move(next);
-                    for (uint32_t d : dirtyIslandEndpointSweep(
-                             g, isl, batch.adds, batch.removes))
-                        prov.parentOf[d] = IslandProvenance::kNone;
-                    const uint64_t parent = epoch;
-                    epoch++;
-                    cache.advance(epoch, true, parent,
-                                  prov.parentOf);
-
-                    h1 = layer1(g, x, w0);
-                    std::vector<float> buf;
-                    for (uint32_t i = 0; i < isl.islands.size();
-                         ++i) {
-                        const size_t want =
-                            isl.islands[i].nodes.size() * hidden;
-                        buf.resize(want);
-                        if (cache.lookup(epoch, i, want,
-                                         buf.data())) {
-                            survivors++;
-                            const std::vector<float> cold =
-                                islandRows(isl.islands[i], h1);
-                            ASSERT_EQ(0, std::memcmp(
-                                             buf.data(), cold.data(),
-                                             want * sizeof(float)))
-                                << tctx << " batch " << b
-                                << " island " << i
-                                << ": stale bytes survived "
-                                   "invalidation";
-                        }
-                        // Refill so the next epoch's survivors are
-                        // again previous-epoch bytes.
-                        cache.insert(epoch, i,
-                                     islandRows(isl.islands[i], h1));
-                    }
-                }
-                // Non-vacuity: localized edits must leave most
-                // islands' aggregates carried across epochs.
-                EXPECT_GT(survivors, 0u) << tctx;
-                perThread.push_back(cache.stats());
-            }
-            setGlobalThreads(0);
-            for (size_t i = 1; i < perThread.size(); ++i) {
-                EXPECT_EQ(perThread[0].hits, perThread[i].hits)
-                    << ctx;
-                EXPECT_EQ(perThread[0].misses, perThread[i].misses)
-                    << ctx;
-                EXPECT_EQ(perThread[0].invalidated,
-                          perThread[i].invalidated) << ctx;
-            }
-        }
-    }
 }
 
 TEST(FuzzIncremental, OnePassEditedEpochsMatchTwoPassComposition)

@@ -284,175 +284,6 @@ TEST(ServingReplay, PerRequestResultsInvariantAcrossBatchCaps)
     }
 }
 
-// --------------------------------------- aggregation cache (tentpole)
-
-TEST(ServingAggCache, CacheEnabledReplayBitIdenticalToDisabled)
-{
-    // The cache's whole contract in one pin: with the island-
-    // aggregation cache on, every request's logits are byte-
-    // identical to the uncached server's — across a mixed trace
-    // (updates invalidate islands mid-run), at IGCN_THREADS 1, 4
-    // and 8 — and the cache actually engaged (hits > 0, so the test
-    // cannot pass vacuously). Epoch numbers and batch composition
-    // may legitimately differ: cache hits shrink the virtual service
-    // cost, shifting the busy horizon, and batch formation is a
-    // function of it; the FCFS dispatch order — and therefore the
-    // update set seen by each request — is not.
-    Workload w = makeWorkload(900, 16, 12, 6, 2, 17);
-    TraceConfig tc;
-    tc.numInference = 400;
-    tc.numUpdates = 40;
-    tc.seed = 11;
-    const std::vector<Request> trace =
-        makeSyntheticTrace(w.graph, tc);
-
-    const auto logitsById = [](const ReplayReport &rep) {
-        std::map<uint64_t, std::vector<float>> m;
-        for (const InferenceResult &r : rep.inference)
-            m[r.id] = r.logits;
-        return m;
-    };
-
-    setGlobalThreads(1);
-    Server plain(w.graph, w.features, w.weights, ServerConfig{});
-    const auto want = logitsById(plain.runTrace(trace));
-
-    ServerConfig cc;
-    cc.aggCache.enabled = true;
-    std::vector<ReplaySignature> cachedSigs;
-    for (int threads : {1, 4, 8}) {
-        setGlobalThreads(threads);
-        Server cached(w.graph, w.features, w.weights, cc);
-        ReplayReport rep = cached.runTrace(trace);
-        EXPECT_EQ(want, logitsById(rep))
-            << "cached logits diverged at " << threads << " threads";
-        EXPECT_GT(cached.stats().aggCacheHits(), 0u);
-        EXPECT_GT(cached.stats().aggCacheFills(), 0u);
-        // Updates ran, so invalidation ran too.
-        EXPECT_GT(cached.stats().aggCacheInvalidated() +
-                      cached.stats().aggCacheMisses(),
-                  0u);
-        cachedSigs.push_back(ReplaySignature::of(rep));
-    }
-    setGlobalThreads(0);
-    // Among cache-enabled runs the full signature (epochs included)
-    // is thread-count-exact: determinism survives the cache.
-    for (size_t i = 1; i < cachedSigs.size(); ++i) {
-        EXPECT_EQ(cachedSigs[0].byId, cachedSigs[i].byId);
-        EXPECT_EQ(cachedSigs[0].updateEpochs,
-                  cachedSigs[i].updateEpochs);
-        EXPECT_EQ(cachedSigs[0].batchSizeById,
-                  cachedSigs[i].batchSizeById);
-    }
-}
-
-TEST(ServingAggCache, SparseFeatureServerBitIdenticalWithCache)
-{
-    // The sparse first-layer path fills and consults the same cache;
-    // cached sparse == uncached dense, bit-exactly.
-    Workload w = makeWorkload(600, 64, 12, 6, 2, 23);
-    Rng rng(77);
-    w.features.fillRandomSparse(rng, 0.02, 1.0f);
-    Features sparse;
-    sparse.sparse = true;
-    sparse.csr = denseToCsrFeatures(w.features);
-
-    TraceConfig tc;
-    tc.numInference = 200;
-    tc.numUpdates = 20;
-    tc.seed = 5;
-    const std::vector<Request> trace =
-        makeSyntheticTrace(w.graph, tc);
-
-    const auto logitsById = [](const ReplayReport &rep) {
-        std::map<uint64_t, std::vector<float>> m;
-        for (const InferenceResult &r : rep.inference)
-            m[r.id] = r.logits;
-        return m;
-    };
-    Server dense(w.graph, w.features, w.weights, ServerConfig{});
-    const auto want = logitsById(dense.runTrace(trace));
-
-    ServerConfig cc;
-    cc.aggCache.enabled = true;
-    Server cached(w.graph, sparse, w.weights, cc);
-    EXPECT_EQ(want, logitsById(cached.runTrace(trace)));
-    EXPECT_GT(cached.stats().aggCacheHits(), 0u);
-}
-
-TEST(ServingAggCache, LookupInsertAndDeterministicLruEviction)
-{
-    AggCacheConfig cfg;
-    cfg.enabled = true;
-    cfg.maxBytes = 10 * sizeof(float); // room for two 5-float rows
-    AggCache cache(cfg);
-    cache.advance(1, false, 0, {});
-
-    const std::vector<float> a{1, 2, 3, 4, 5};
-    const std::vector<float> b{6, 7, 8, 9, 10};
-    cache.insert(1, 0, a);
-    cache.insert(1, 1, b);
-    EXPECT_EQ(cache.stats().entries, 2u);
-    EXPECT_EQ(cache.stats().bytes, 10 * sizeof(float));
-
-    float buf[5];
-    // Hit returns the exact bytes and refreshes island 0's tick.
-    ASSERT_TRUE(cache.lookup(1, 0, 5, buf));
-    EXPECT_EQ(0, std::memcmp(buf, a.data(), sizeof(buf)));
-    // Wrong length is a miss, never a partial copy.
-    EXPECT_FALSE(cache.lookup(1, 0, 4, buf));
-    // Wrong epoch is a miss (racing-advance shape).
-    EXPECT_FALSE(cache.lookup(2, 0, 5, buf));
-
-    // A third entry breaches the budget; island 1 has the lowest
-    // tick (0 was refreshed by the hit above) and must be evicted.
-    cache.insert(1, 2, {11, 12, 13, 14, 15});
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_TRUE(cache.lookup(1, 0, 5, buf));
-    EXPECT_FALSE(cache.lookup(1, 1, 5, buf));
-    EXPECT_TRUE(cache.lookup(1, 2, 5, buf));
-    EXPECT_LE(cache.stats().bytes, cfg.maxBytes);
-}
-
-TEST(ServingAggCache, AdvanceRemapsByProvenanceAndGapClears)
-{
-    AggCache cache({.enabled = true, .maxBytes = 1 << 20});
-    cache.advance(3, false, 0, {});
-    cache.insert(3, 0, {1, 1});
-    cache.insert(3, 1, {2, 2});
-    cache.insert(3, 2, {3, 3});
-
-    // Epoch 4: new island 0 inherits old 2, new island 1 is fresh
-    // (dirty), new island 2 inherits old 0. Old 1 is orphaned.
-    const uint32_t remap[] = {2, AggCache::kNoParent, 0};
-    cache.advance(4, true, 3, remap);
-    float buf[2];
-    ASSERT_TRUE(cache.lookup(4, 0, 2, buf));
-    EXPECT_EQ(buf[0], 3.0f);
-    EXPECT_FALSE(cache.lookup(4, 1, 2, buf));
-    ASSERT_TRUE(cache.lookup(4, 2, 2, buf));
-    EXPECT_EQ(buf[0], 1.0f);
-    EXPECT_EQ(cache.stats().invalidated, 1u); // old island 1
-    EXPECT_EQ(cache.stats().entries, 2u);
-
-    // Same-epoch advance is a no-op.
-    cache.advance(4, true, 3, remap);
-    EXPECT_TRUE(cache.lookup(4, 0, 2, buf));
-
-    // Lineage gap (parent is not the cached epoch): full clear.
-    cache.advance(9, true, 7, remap);
-    EXPECT_FALSE(cache.lookup(9, 0, 2, buf));
-    EXPECT_EQ(cache.stats().clears, 1u);
-    EXPECT_EQ(cache.stats().entries, 0u);
-    EXPECT_EQ(cache.stats().bytes, 0u);
-
-    // reset(): fresh lifetime, counters zeroed.
-    cache.insert(9, 0, {5, 5});
-    cache.reset();
-    EXPECT_EQ(cache.stats().fills, 0u);
-    EXPECT_FALSE(cache.lookup(9, 0, 2, buf));
-}
-
 TEST(ServingReplay, UpdatesTakeEffectAndMatchFinalReference)
 {
     Workload w = makeWorkload(500, 16, 12, 6, 2, 21);
@@ -698,9 +529,7 @@ TEST(ServingConcurrency, InterleavedUpdatesNeverTearReads)
 TEST(ServingConcurrency, RealTimeServerServesAndDrains)
 {
     Workload w = makeWorkload(400, 12, 10, 5, 2, 29);
-    ServerConfig sc;
-    sc.scheduler.maxWaitUs = 500;
-    Server server(w.graph, w.features, w.weights, sc);
+    Server server(w.graph, w.features, w.weights, ServerConfig{});
     server.start();
 
     constexpr int kProducers = 2;
@@ -807,7 +636,6 @@ TEST(ServingScheduler, DispatchesAtEngineFreeInstantWithoutStragglerWait)
 {
     SchedulerConfig cfg;
     cfg.maxBatch = 8;
-    cfg.maxWaitUs = 100; // deprecated: must have no effect
 
     RequestQueue q;
     q.push(req(0, 0, RequestKind::Inference));
@@ -826,7 +654,7 @@ TEST(ServingScheduler, DispatchesAtEngineFreeInstantWithoutStragglerWait)
     }
     ASSERT_EQ(formed.size(), 4u);
     // Every batch leaves the moment engine and head are both ready —
-    // the legacy rule would have charged request 0 the full 100us
+    // the legacy rule would have charged request 0 a 100us
     // straggler wait.
     EXPECT_EQ(formed[0], 0u);
     EXPECT_EQ(formed[1], 500u);
@@ -905,11 +733,13 @@ TEST(ServingScheduler, ConsecutiveUpdatesCoalesce)
 
 /**
  * In-test model of the legacy drain-then-admit rule: same-kind
- * requests with arrival <= start + maxWaitUs joined (a straggler
- * window), and a partial batch's dispatch time was the closing
- * request's arrival or the full deadline. Kept here, not in the
- * scheduler, as the differential baseline.
+ * requests with arrival <= start + kLegacyMaxWaitUs joined (a
+ * straggler window), and a partial batch's dispatch time was the
+ * closing request's arrival or the full deadline. Kept here, not in
+ * the scheduler, as the differential baseline.
  */
+constexpr uint64_t kLegacyMaxWaitUs = 100;
+
 struct ModelBatch
 {
     RequestKind kind;
@@ -928,7 +758,7 @@ legacyRuleBatches(std::deque<Request> q, const SchedulerConfig &cfg)
         Request first = std::move(q.front());
         q.pop_front();
         const uint64_t start = std::max(busy, first.arrivalUs);
-        const uint64_t deadline = start + cfg.maxWaitUs;
+        const uint64_t deadline = start + kLegacyMaxWaitUs;
         const uint32_t cap = first.kind == RequestKind::Inference
             ? std::max<uint32_t>(1, cfg.maxBatch)
             : std::max<uint32_t>(1, cfg.maxUpdateCoalesce);
@@ -986,7 +816,6 @@ TEST(ServingScheduler, DifferentialAgainstLegacyRuleOnCoincidenceTrace)
     SchedulerConfig cfg;
     cfg.maxBatch = 3;
     cfg.maxUpdateCoalesce = 2;
-    cfg.maxWaitUs = 100;
 
     std::vector<Request> burst;
     uint64_t id = 0;

@@ -5,6 +5,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -131,6 +132,18 @@ class Args
                                      " expects a number, got '" +
                                      *it->second + "'");
         }
+    }
+
+    /** Given keys that are not in `known`, in key order. */
+    std::vector<std::string>
+    unknownKeys(const std::vector<std::string> &known) const
+    {
+        std::vector<std::string> out;
+        for (const auto &[key, value] : values)
+            if (std::find(known.begin(), known.end(), key) ==
+                known.end())
+                out.push_back(key);
+        return out;
     }
 
   private:

@@ -41,6 +41,7 @@
 
 #include "args.hpp"
 #include "cli_io.hpp"
+#include "commands.hpp"
 
 using namespace igcn;
 using igcn::cli::Args;
@@ -61,22 +62,18 @@ usage()
         "  reorder   --in FILE --algo rabbit|dbg|hubsort|hubcluster|\n"
         "            dbg-hubsort|dbg-hubcluster --out FILE\n"
         "  simulate  (--dataset cora|citeseer|pubmed|nell|reddit|\n"
-        "            nell-small [--scale F] | --in FILE)\n"
+        "            nell-small [--scale F] | --in FILE [--features F]\n"
+        "            [--classes C] [--density D])\n"
         "            [--model gcn|gs|gin] [--net algo|hy]\n"
         "            [--platform igcn|awb|hygcn|cpu|gpu|sigma]\n"
         "  serve     --trace [--dataset NAME [--scale F] |\n"
         "            --in FILE | --nodes N] [--requests R]\n"
         "            [--updates U] [--remove-frac F] [--batch-cap B]\n"
-        "            [--max-wait-us W] [--features F] [--hidden H]\n"
-        "            [--classes C] [--cmax N] [--seed S]\n"
+        "            [--features F] [--hidden H] [--classes C]\n"
+        "            [--cmax N] [--seed S]\n"
         "            [--feature-density D] [--sparse-x]\n"
         "            [--pattern poisson|burst|diurnal]\n"
         "            [--zipf-alpha A] [--tenants T]\n"
-        "            [--agg-cache]         epoch-keyed island-\n"
-        "              aggregation cache (bit-identical results;\n"
-        "              cache hits skip the layer-1 edge sweep)\n"
-        "            [--agg-cache-mb N]    cache byte budget (LRU\n"
-        "              eviction; default 64)\n"
         "            SLO mode (enables admission control + EDF):\n"
         "            [--qps-budget Q] [--queue-cap N]\n"
         "            [--staleness K] [--deadline-us D]\n"
@@ -352,15 +349,8 @@ cmdServe(const Args &args)
     serve::ServerConfig sc;
     sc.scheduler.maxBatch =
         static_cast<uint32_t>(args.getInt("batch-cap", 32));
-    sc.scheduler.maxWaitUs =
-        static_cast<uint64_t>(args.getInt("max-wait-us", 200));
     sc.locator.maxIslandSize = static_cast<NodeId>(
         args.getInt("cmax", sc.locator.maxIslandSize));
-    sc.aggCache.enabled =
-        args.has("agg-cache") || args.has("agg-cache-mb");
-    sc.aggCache.maxBytes = static_cast<size_t>(
-                               args.getInt("agg-cache-mb", 64))
-        << 20;
     // Any SLO knob switches the replay from FCFS to the admission-
     // controlled EDF path.
     if (args.has("qps-budget") || args.has("queue-cap") ||
@@ -381,16 +371,14 @@ cmdServe(const Args &args)
 
     std::printf("serve: %u nodes, %llu edges; trace %zu requests "
                 "(%llu inference + %llu updates, %.0f%% deletions), "
-                "batch cap %u, max wait %llu us\n",
+                "batch cap %u\n",
                 g.numNodes(),
                 static_cast<unsigned long long>(g.numEdges()),
                 trace.size(),
                 static_cast<unsigned long long>(tc.numInference),
                 static_cast<unsigned long long>(tc.numUpdates),
                 tc.removeFraction * 100.0,
-                sc.scheduler.maxBatch,
-                static_cast<unsigned long long>(
-                    sc.scheduler.maxWaitUs));
+                sc.scheduler.maxBatch);
     std::printf("features: %s, %zu x %zu, %llu nnz, %.1f KiB\n",
                 x.sparse ? "csr" : "dense", x.rows(), x.cols(),
                 static_cast<unsigned long long>(x.nnz()),
@@ -453,9 +441,15 @@ main(int argc, char **argv)
     if (argc < 2)
         return usage();
     const std::string cmd = argv[1];
+    const std::vector<std::string> *known = cli::commandOptions(cmd);
+    if (!known)
+        return usage();
     Args args(argc, argv);
-    if (!args.errors().empty()) {
-        for (const std::string &e : args.errors())
+    std::vector<std::string> errors = args.errors();
+    for (const std::string &key : args.unknownKeys(*known))
+        errors.push_back("unknown option --" + key);
+    if (!errors.empty()) {
+        for (const std::string &e : errors)
             std::fprintf(stderr, "igcn %s: %s\n", cmd.c_str(),
                          e.c_str());
         return usage();
