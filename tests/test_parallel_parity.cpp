@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "core/locator.hpp"
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "runtime/thread_pool.hpp"
 #include "spmm/spmm.hpp"
@@ -541,6 +542,90 @@ expectSameStats(const LocatorStats &a, const LocatorStats &b,
     EXPECT_EQ(a.edgesScannedWasted, b.edgesScannedWasted) << ctx;
 }
 
+/**
+ * 64-bit FNV-1a digest of a full islandization result: islands (id =
+ * position, node order, hubs, round, scan count), role, islandOf,
+ * hubRound, inter-hub edges, thresholds, per-round records, every
+ * LocatorStats field and, when `with_trace`, the task trace. Pinned
+ * constants below are the locator's reference output: any change to
+ * the partition, the statistics or the trace moves the digest.
+ */
+uint64_t
+resultDigest(const IslandizationResult &r, bool with_trace)
+{
+    uint64_t h = 14695981039346656037ull;
+    auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    };
+    auto mixAll = [&mix](const auto &seq) {
+        mix(seq.size());
+        for (const auto &x : seq)
+            mix(static_cast<uint64_t>(x));
+    };
+    mix(r.islands.size());
+    for (const Island &isl : r.islands) {
+        mixAll(isl.nodes);
+        mixAll(isl.hubs);
+        mix(static_cast<uint64_t>(isl.round));
+        mix(isl.edgesScanned);
+    }
+    mixAll(r.role);
+    mixAll(r.islandOf);
+    mixAll(r.hubRound);
+    mix(r.interHubEdges.size());
+    for (const Edge &e : r.interHubEdges) {
+        mix(e.first);
+        mix(e.second);
+    }
+    mixAll(r.thresholds);
+    mix(r.rounds.size());
+    for (const RoundInfo &ri : r.rounds) {
+        mix(ri.threshold);
+        mix(ri.nodesChecked);
+        mix(ri.hubsDetected);
+        mix(ri.edgesScanned);
+        mix(ri.islandsFound);
+    }
+    mix(static_cast<uint64_t>(r.numRounds));
+    const LocatorStats &s = r.stats;
+    for (uint64_t v : {s.tasksGenerated, s.tasksDroppedStartVisited,
+                       s.tasksDroppedCollision, s.tasksDroppedOversize,
+                       s.tasksInterHub, s.islandsFound,
+                       s.hubDetectChecks, s.adjListFetches,
+                       s.edgesScanned, s.edgesScannedWasted})
+        mix(v);
+    if (with_trace) {
+        mix(r.taskTrace.size());
+        for (const TaskTrace &t : r.taskTrace) {
+            mix(t.round);
+            mix(static_cast<uint64_t>(t.outcome));
+            mix(t.edgesScanned);
+            mix(t.hubDegree);
+        }
+    }
+    return h;
+}
+
+/** Pinned reference digests of one islandize input. */
+struct PinnedDigests
+{
+    /** Default (sequential TP-BFS) mode, with the task trace. */
+    uint64_t sequential;
+    /** parallelEngines mode: partition and stats, no trace. */
+    uint64_t engines;
+};
+
+/** Digest of the parallelEngines run of `cfg` on `g` (no trace). */
+uint64_t
+engineDigest(const CsrGraph &g, LocatorConfig cfg)
+{
+    cfg.parallelEngines = true;
+    return resultDigest(islandize(g, cfg), false);
+}
+
 TEST_F(ParityTest, IslandizePartitionIdenticalAcrossThreads)
 {
     // The commit phase replays aborted tasks against canonical marks,
@@ -548,7 +633,21 @@ TEST_F(ParityTest, IslandizePartitionIdenticalAcrossThreads)
     // must equal the 1-thread (= pre-refactor sequential) run: the
     // cycle-level accelerator models consume these stats, and their
     // modeled latency must not depend on IGCN_THREADS.
-    for (const FamilyCase &fc : graphFamilies()) {
+    std::vector<FamilyCase> cases = graphFamilies();
+    cases.push_back({"nell", buildDataset(Dataset::Nell).graph});
+    cases.push_back({"reddit-x0.1",
+                     buildDataset(Dataset::Reddit, 0.1).graph});
+    const PinnedDigests pinned[] = {
+        {0x8414d43ec20a744aull, 0x9a070094c583733full}, // hub-island
+        {0x4a12db66e18cbc8dull, 0xbaec32c3f5a90187ull}, // erdos-renyi
+        {0x1e799971ae5c8ccfull, 0xe683e6c95c42d7c2ull}, // rmat
+        {0x5d236fa82ab95c6eull, 0x431720babf29c417ull}, // barabasi-albert
+        {0xa44ceae2eda4bc69ull, 0x7d5d9a48345fcbbeull}, // nell
+        {0xd7da703d26d7afccull, 0x419998a81d7e8400ull}, // reddit-x0.1
+    };
+    ASSERT_EQ(std::size(pinned), cases.size());
+    for (size_t c = 0; c < cases.size(); ++c) {
+        const FamilyCase &fc = cases[c];
         LocatorConfig cfg;
         cfg.recordTrace = true;
         setGlobalThreads(1);
@@ -561,6 +660,10 @@ TEST_F(ParityTest, IslandizePartitionIdenticalAcrossThreads)
             const IslandizationResult isl = islandize(fc.graph, cfg);
             expectSamePartition(isl, base, ctx);
             expectSameStats(isl.stats, base.stats, ctx);
+            EXPECT_EQ(resultDigest(isl, true), pinned[c].sequential)
+                << ctx;
+            EXPECT_EQ(engineDigest(fc.graph, cfg), pinned[c].engines)
+                << ctx << " (parallel engines)";
             // And bit-stable across reruns at the same count.
             const IslandizationResult again = islandize(fc.graph, cfg);
             expectSamePartition(again, isl, ctx + " (rerun)");
@@ -579,17 +682,22 @@ TEST_F(ParityTest, IslandizeSmallIslandConfigAcrossThreads)
     LocatorConfig cfg;
     cfg.maxIslandSize = 4;
     cfg.recordTrace = true;
+    const PinnedDigests pinned = {0xeef2d7ec463b00e0ull,
+                                  0x3c9b8a4a74c644e2ull};
 
     setGlobalThreads(1);
     const IslandizationResult base = islandize(hi.graph, cfg);
 
     for (int threads : kThreadCounts) {
+        const std::string ctx = "cmax=4 @ " + std::to_string(threads);
         setGlobalThreads(threads);
         const IslandizationResult isl = islandize(hi.graph, cfg);
-        expectSamePartition(isl, base,
-                            "cmax=4 @ " + std::to_string(threads));
-        expectSameStats(isl.stats, base.stats,
-                        "cmax=4 @ " + std::to_string(threads));
+        expectSamePartition(isl, base, ctx);
+        expectSameStats(isl.stats, base.stats, ctx);
+        EXPECT_EQ(resultDigest(isl, true), pinned.sequential)
+            << ctx;
+        EXPECT_EQ(engineDigest(hi.graph, cfg), pinned.engines)
+            << ctx << " (parallel engines)";
     }
 }
 
