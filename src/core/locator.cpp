@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <stdexcept>
-#include <utility>
-
-#include "runtime/thread_pool.hpp"
 
 namespace igcn {
 
@@ -37,238 +33,97 @@ struct LocatorState
     }
 };
 
-/**
- * Per-shard speculative execution state (worker-sharded mode). Each
- * shard runs its slice of the round's task list with private visited
- * marks, so workers never synchronize mid-BFS; conflicting claims are
- * resolved when results are committed in global task order.
- */
-struct ShardCtx
-{
-    /** Round id in which this shard visited a node (0 = never). */
-    std::vector<uint32_t> visitedRound;
-    /** Shard-local task id that visited a node (0 = never). */
-    std::vector<uint64_t> visitedTask;
-    uint64_t taskCounter = 0;
-};
-
-/** Outcome of one speculatively executed TP-BFS task. */
-struct TaskResult
-{
-    TaskOutcome outcome = TaskOutcome::IslandFound;
-    /** Adjacency lists fetched while exploring. */
-    uint32_t adjFetches = 0;
-    /** Neighbor entries scanned while exploring. */
-    EdgeId edgesScanned = 0;
-    /** Candidate island members in BFS order (IslandFound only). */
-    std::vector<NodeId> nodes;
-    /** Candidate border hubs, sorted unique (IslandFound only). */
-    std::vector<NodeId> hubs;
-};
-
-/**
- * TP-BFS from start node a0 (Algorithm 4), speculative against the
- * shard's private marks. A completed task's candidate island is the
- * full connected component of sub-threshold unclassified nodes around
- * a0: BFS only stops at hubs (degree >= th), so the candidate's node
- * set, hub set and scan count do not depend on which shard explored
- * it — that is what makes the commit-in-task-order merge reproduce
- * the sequential partition at any thread count.
- */
-TaskResult
-runTask(const CsrGraph &g, const LocatorConfig &cfg,
-        const std::vector<NodeRole> &role, ShardCtx &ctx,
-        NodeId hub0, NodeId a0, NodeId th, uint32_t round)
-{
-    TaskResult res;
-    if (g.degree(a0) >= th) {
-        // a0 is itself a hub: an inter-hub connection, not a task.
-        res.outcome = TaskOutcome::InterHub;
-        return res;
-    }
-    if (role[a0] == NodeRole::IslandNode ||
-        ctx.visitedRound[a0] == round) {
-        res.outcome = TaskOutcome::DroppedStartVisited;
-        return res;
-    }
-
-    const uint64_t task_id = ++ctx.taskCounter;
-    // An island holds at most maxIslandSize nodes (+1 for the push
-    // that triggers break condition B); reserving once removes the
-    // realloc-and-copy churn of growth inside the scan loop.
-    res.nodes.reserve(static_cast<size_t>(cfg.maxIslandSize) + 1);
-    res.hubs.reserve(8);
-    res.nodes.push_back(a0);
-    res.hubs.push_back(hub0);
-    ctx.visitedTask[a0] = task_id;
-    ctx.visitedRound[a0] = round;
-
-    size_t query = 0;
-    size_t count = 1;
-    while (query != count) {
-        NodeId node = res.nodes[query];
-        res.adjFetches++;
-        for (NodeId n : g.neighbors(node)) {
-            res.edgesScanned++;
-            if (g.degree(n) >= th) {
-                // Hub (this round's threshold, or an earlier round's
-                // higher one): border node, never traversed through.
-                res.hubs.push_back(n);
-            } else if (ctx.visitedTask[n] == task_id) {
-                // Already explored by this task: skip.
-            } else if (ctx.visitedRound[n] == round) {
-                // Claimed by an earlier task of this shard (break
-                // cond. A): drop. The claiming region is finished, so
-                // the marks are kept (as in break condition B) and
-                // sibling tasks drop at start instead of rescanning.
-                // The parallel-engine mode implements the paper's
-                // in-flight rollback verbatim.
-                res.outcome = TaskOutcome::DroppedCollision;
-                return res;
-            } else {
-                count++;
-                res.nodes.push_back(n);
-                ctx.visitedTask[n] = task_id;
-                ctx.visitedRound[n] = round;
-                if (count > cfg.maxIslandSize) {
-                    // Break condition B: too large to be an island at
-                    // this threshold. Marks are kept so sibling tasks
-                    // don't rescan the region this round; the nodes
-                    // stay unclassified and are retried next round at
-                    // a lower threshold.
-                    res.outcome = TaskOutcome::DroppedOversize;
-                    return res;
-                }
-            }
-        }
-        query++;
-    }
-
-    // Break condition C: query caught up with count -> island found.
-    std::sort(res.hubs.begin(), res.hubs.end());
-    res.hubs.erase(std::unique(res.hubs.begin(), res.hubs.end()),
-                   res.hubs.end());
-    res.outcome = TaskOutcome::IslandFound;
-    return res;
-}
-
-/**
- * Commit one task's speculative result, in global task order,
- * reconstructing the exact sequential execution — partition AND
- * statistics — from the shard results:
- *
- *  - Island ids are assigned in commit order, identical to the
- *    sequential assignment: the earliest task into a component is the
- *    winner under every sharding (no earlier task can have claimed
- *    it), its shard recording is mark-free over the component, and
- *    later shards' duplicate candidates of the same component carry
- *    the identical node set, so a start-node claim check suffices.
- *  - A duplicate candidate that lost the commit race is charged as
- *    the sequential interleaving would have run it: by its turn the
- *    winner had claimed the whole component, so it drops at start
- *    with zero scans.
- *  - A shard-dropped task (start-visited, collision, oversize) is
- *    REPLAYED against the canonical marks `canon`, which track the
- *    sequential global-visited state (committed islands plus earlier
- *    replayed aborts). Its shard-local scan count reflects the
- *    shard's mark subset, not the sequential one; the replay —
- *    bounded by cmax, the same work the sequential pass spends on
- *    that task — recovers the exact sequential outcome, scan count
- *    and marks. Replays never find islands (a completed closure would
- *    contradict the winner having committed first, or the component
- *    being oversize), but the IslandFound arm below handles every
- *    outcome anyway, so commit semantics equal the sequential
- *    algorithm by construction.
- *
- * With one shard the recordings already are the sequential execution
- * and the caller skips the replay (`canon_needed = false`).
- */
-void
-commitTask(LocatorState &st, ShardCtx &canon, bool canon_needed,
-           TaskResult &t, NodeId hub, NodeId a0, NodeId th,
-           uint32_t round,
-           std::vector<std::pair<NodeId, NodeId>> &inter_hub)
-{
-    auto &out = st.out;
-    out.stats.tasksGenerated++;
-
-    TaskResult replay;
-    TaskResult *res = &t;
-    if (canon_needed) {
-        if (t.outcome == TaskOutcome::IslandFound) {
-            if (out.role[a0] != NodeRole::Unclassified ||
-                canon.visitedRound[a0] == round) {
-                replay.outcome = TaskOutcome::DroppedStartVisited;
-                res = &replay;
-            }
-        } else if (t.outcome != TaskOutcome::InterHub) {
-            replay = runTask(st.g, st.cfg, out.role, canon, hub, a0,
-                             th, round);
-            res = &replay;
-        }
-    }
-
-    switch (res->outcome) {
-    case TaskOutcome::InterHub:
-        out.stats.tasksInterHub++;
-        inter_hub.emplace_back(std::min(hub, a0), std::max(hub, a0));
-        break;
-    case TaskOutcome::DroppedStartVisited:
-        out.stats.tasksDroppedStartVisited++;
-        break;
-    case TaskOutcome::DroppedCollision:
-    case TaskOutcome::DroppedOversize:
-        if (res->outcome == TaskOutcome::DroppedCollision)
-            out.stats.tasksDroppedCollision++;
-        else
-            out.stats.tasksDroppedOversize++;
-        out.stats.adjListFetches += res->adjFetches;
-        out.stats.edgesScanned += res->edgesScanned;
-        out.stats.edgesScannedWasted += res->edgesScanned;
-        break;
-    case TaskOutcome::IslandFound: {
-        out.stats.adjListFetches += res->adjFetches;
-        out.stats.edgesScanned += res->edgesScanned;
-        Island island;
-        island.nodes = std::move(res->nodes);
-        island.hubs = std::move(res->hubs);
-        island.round = static_cast<int>(round);
-        island.edgesScanned = res->edgesScanned;
-        const auto id = static_cast<uint32_t>(out.islands.size());
-        for (NodeId v : island.nodes) {
-            out.role[v] = NodeRole::IslandNode;
-            out.islandOf[v] = id;
-            if (canon_needed)
-                canon.visitedRound[v] = round;
-        }
-        out.islands.push_back(std::move(island));
-        out.stats.islandsFound++;
-        break;
-    }
-    }
-
-    if (st.cfg.recordTrace) {
-        TaskTrace trace;
-        trace.round = static_cast<uint16_t>(round);
-        trace.outcome = res->outcome;
-        trace.edgesScanned = static_cast<uint32_t>(res->edgesScanned);
-        trace.hubDegree = st.g.degree(hub);
-        out.taskTrace.push_back(trace);
-    }
-}
-
-/** In-flight state of one TP-BFS engine (parallel mode). */
+/** In-flight state of one TP-BFS engine: the task it is running. */
 struct BfsEngine
 {
     bool busy = false;
     NodeId hub0 = 0;
+    /** Visited nodes in BFS order; the query pointer walks it. */
     std::vector<NodeId> vLocal;
     std::vector<NodeId> hLocal;
     size_t query = 0;
-    size_t count = 0;
     uint64_t taskId = 0;
     EdgeId edgesScanned = 0;
 };
+
+/** Account one finished task: outcome counters, scans and trace. */
+void
+recordTask(LocatorState &st, NodeId hub, TaskOutcome outcome,
+           EdgeId scanned, uint32_t round)
+{
+    LocatorStats &s = st.out.stats;
+    s.edgesScanned += scanned;
+    switch (outcome) {
+    case TaskOutcome::IslandFound:
+        s.islandsFound++;
+        break;
+    case TaskOutcome::DroppedStartVisited:
+        s.tasksDroppedStartVisited++;
+        break;
+    case TaskOutcome::DroppedCollision:
+        s.tasksDroppedCollision++;
+        s.edgesScannedWasted += scanned;
+        break;
+    case TaskOutcome::DroppedOversize:
+        s.tasksDroppedOversize++;
+        s.edgesScannedWasted += scanned;
+        break;
+    case TaskOutcome::InterHub:
+        s.tasksInterHub++;
+        break;
+    }
+    if (st.cfg.recordTrace) {
+        TaskTrace trace;
+        trace.round = static_cast<uint16_t>(round);
+        trace.outcome = outcome;
+        trace.edgesScanned = static_cast<uint32_t>(scanned);
+        trace.hubDegree = st.g.degree(hub);
+        st.out.taskTrace.push_back(trace);
+    }
+}
+
+/**
+ * Pop task (hub, a0) onto engine `e` (Algorithm 4's start checks,
+ * made when an engine takes the task off the queue, as in the
+ * hardware). An a0 that is itself a hub is an inter-hub connection;
+ * an a0 already claimed drops at start. Returns whether the engine
+ * started the BFS.
+ */
+bool
+startTask(LocatorState &st, BfsEngine &e, NodeId hub, NodeId a0,
+          NodeId th, uint32_t round)
+{
+    auto &out = st.out;
+    out.stats.tasksGenerated++;
+    if (st.g.degree(a0) >= th) {
+        out.interHubEdges.emplace_back(std::min(hub, a0),
+                                       std::max(hub, a0));
+        recordTask(st, hub, TaskOutcome::InterHub, 0, round);
+        return false;
+    }
+    if (out.role[a0] == NodeRole::IslandNode ||
+        st.visitedGlobalRound[a0] == round) {
+        recordTask(st, hub, TaskOutcome::DroppedStartVisited, 0, round);
+        return false;
+    }
+    e.busy = true;
+    e.hub0 = hub;
+    // An island holds at most maxIslandSize nodes (+1 for the push
+    // that triggers break condition B); reserving once removes the
+    // realloc-and-copy churn of growth inside the scan loop.
+    e.vLocal.clear();
+    e.vLocal.reserve(static_cast<size_t>(st.cfg.maxIslandSize) + 1);
+    e.vLocal.push_back(a0);
+    e.hLocal.clear();
+    e.hLocal.reserve(8);
+    e.hLocal.push_back(hub);
+    e.query = 0;
+    e.edgesScanned = 0;
+    e.taskId = ++st.taskCounter;
+    st.visitedLocalTask[a0] = e.taskId;
+    st.visitedGlobalRound[a0] = round;
+    return true;
+}
 
 /** Record the island an engine completed (break condition C). */
 void
@@ -289,59 +144,82 @@ finishIsland(LocatorState &st, BfsEngine &e, uint32_t round)
         out.islandOf[v] = island_id;
     }
     out.islands.push_back(std::move(island));
-    out.stats.islandsFound++;
-    out.stats.edgesScanned += e.edgesScanned;
+    recordTask(st, e.hub0, TaskOutcome::IslandFound, e.edgesScanned,
+               round);
     e.busy = false;
 }
 
 /**
  * Advance one engine by one node expansion (the adjacency list of
- * the node under the query pointer). Mirrors tpBfs()'s per-neighbor
- * logic; step granularity is what makes engine interleaving visible.
+ * the node under the query pointer). Step granularity is what makes
+ * engine interleaving visible in the parallel-engine mode; tpBfs()
+ * steps one engine to completion.
  */
 void
 stepEngine(LocatorState &st, BfsEngine &e, NodeId th, uint32_t round)
 {
-    auto &out = st.out;
-    if (e.query == e.count) {
-        finishIsland(st, e, round);
-        return;
-    }
-    NodeId node = e.vLocal[e.query];
-    out.stats.adjListFetches++;
+    const NodeId node = e.vLocal[e.query];
+    st.out.stats.adjListFetches++;
     for (NodeId n : st.g.neighbors(node)) {
         e.edgesScanned++;
         if (st.g.degree(n) >= th) {
+            // Hub (this round's threshold, or an earlier round's
+            // higher one): border node, never traversed through.
             e.hLocal.push_back(n);
         } else if (st.visitedLocalTask[n] == e.taskId) {
-            // already explored by this engine
+            // Already explored by this task: skip.
         } else if (st.visitedGlobalRound[n] == round) {
-            // Break condition A: claimed by a concurrent engine.
-            for (NodeId v : e.vLocal)
-                st.visitedGlobalRound[v] = 0;
-            out.stats.tasksDroppedCollision++;
-            out.stats.edgesScanned += e.edgesScanned;
-            out.stats.edgesScannedWasted += e.edgesScanned;
+            // Break condition A: claimed by another task this round.
+            // A concurrent engine's claim is still in flight, so the
+            // paper rolls this task's marks back. In the sequential
+            // loop the claiming region is finished, so the marks are
+            // kept (as in break condition B) and sibling tasks drop
+            // at start instead of rescanning.
+            if (st.cfg.parallelEngines)
+                for (NodeId v : e.vLocal)
+                    st.visitedGlobalRound[v] = 0;
+            recordTask(st, e.hub0, TaskOutcome::DroppedCollision,
+                       e.edgesScanned, round);
             e.busy = false;
             return;
         } else {
-            e.count++;
             e.vLocal.push_back(n);
             st.visitedLocalTask[n] = e.taskId;
             st.visitedGlobalRound[n] = round;
-            if (e.count > st.cfg.maxIslandSize) {
-                // Break condition B: oversize; keep global marks.
-                out.stats.tasksDroppedOversize++;
-                out.stats.edgesScanned += e.edgesScanned;
-                out.stats.edgesScannedWasted += e.edgesScanned;
+            if (e.vLocal.size() > st.cfg.maxIslandSize) {
+                // Break condition B: too large to be an island at
+                // this threshold. Marks are kept so sibling tasks
+                // don't rescan the region this round; the nodes stay
+                // unclassified and are retried next round at a lower
+                // threshold.
+                recordTask(st, e.hub0, TaskOutcome::DroppedOversize,
+                           e.edgesScanned, round);
                 e.busy = false;
                 return;
             }
         }
     }
-    e.query++;
-    if (e.query == e.count)
+    // Break condition C: the query pointer caught up with the visit
+    // count -> island found.
+    if (++e.query == e.vLocal.size())
         finishIsland(st, e, round);
+}
+
+/**
+ * Sequential TP-BFS (Algorithm 4): run the round's tasks one at a
+ * time in generation order, each to completion, recording it before
+ * the next starts. This is one valid interleaving of the hardware's
+ * engines, and the default mode.
+ */
+void
+tpBfs(LocatorState &st, const std::vector<Edge> &tasks, NodeId th,
+      uint32_t round)
+{
+    BfsEngine e;
+    for (const auto &[hub, a0] : tasks)
+        if (startTask(st, e, hub, a0, th, round))
+            while (e.busy)
+                stepEngine(st, e, th, round);
 }
 
 /**
@@ -352,53 +230,19 @@ stepEngine(LocatorState &st, BfsEngine &e, NodeId th, uint32_t round)
  * satisfy the coverage postconditions).
  */
 void
-runParallelTpBfs(LocatorState &st,
-                 std::deque<std::pair<NodeId, NodeId>> &tasks,
-                 NodeId th, uint32_t round,
-                 std::vector<std::pair<NodeId, NodeId>> &inter_hub)
+runParallelTpBfs(LocatorState &st, const std::vector<Edge> &tasks,
+                 NodeId th, uint32_t round)
 {
-    auto &out = st.out;
-    std::vector<BfsEngine> engines(
-        std::max(1, st.cfg.p2));
+    std::vector<BfsEngine> engines(std::max(1, st.cfg.p2));
+    size_t next = 0;
     bool any_busy = true;
-    while (any_busy || !tasks.empty()) {
+    while (any_busy || next < tasks.size()) {
         any_busy = false;
         for (BfsEngine &e : engines) {
-            if (!e.busy) {
-                // Pop tasks until one is viable (checks happen at pop
-                // time, as in the hardware's task queues).
-                while (!tasks.empty()) {
-                    auto [hub, a0] = tasks.front();
-                    tasks.pop_front();
-                    out.stats.tasksGenerated++;
-                    if (st.g.degree(a0) >= th) {
-                        out.stats.tasksInterHub++;
-                        inter_hub.emplace_back(std::min(hub, a0),
-                                               std::max(hub, a0));
-                        continue;
-                    }
-                    if (out.role[a0] == NodeRole::IslandNode ||
-                        st.visitedGlobalRound[a0] == round) {
-                        out.stats.tasksDroppedStartVisited++;
-                        continue;
-                    }
-                    e.busy = true;
-                    e.hub0 = hub;
-                    e.vLocal.clear();
-                    e.hLocal.clear();
-                    e.vLocal.reserve(
-                        static_cast<size_t>(st.cfg.maxIslandSize) + 1);
-                    e.hLocal.reserve(8);
-                    e.vLocal.push_back(a0);
-                    e.hLocal.push_back(hub);
-                    e.query = 0;
-                    e.count = 1;
-                    e.edgesScanned = 0;
-                    e.taskId = ++st.taskCounter;
-                    st.visitedLocalTask[a0] = e.taskId;
-                    st.visitedGlobalRound[a0] = round;
-                    break;
-                }
+            // Pop tasks until one is viable.
+            while (!e.busy && next < tasks.size()) {
+                const auto [hub, a0] = tasks[next++];
+                startTask(st, e, hub, a0, th, round);
             }
             if (e.busy) {
                 stepEngine(st, e, th, round);
@@ -432,18 +276,8 @@ islandize(const CsrGraph &g, const LocatorConfig &cfg)
     for (NodeId v = 0; v < n; ++v)
         node_list[v] = v;
 
-    std::vector<std::pair<NodeId, NodeId>> inter_hub_raw;
     uint32_t round = 0;
     bool last_round_done = false;
-
-    // Shard contexts persist across rounds (round-tagged marks make
-    // stale entries invisible); one per worker, allocated lazily.
-    // `canon` tracks the canonical (sequential-interleaving) visited
-    // state during multi-shard commits.
-    ThreadPool &pool = globalPool();
-    std::vector<ShardCtx> shard_ctxs;
-    ShardCtx canon;
-    constexpr size_t kMinTasksPerShard = 4;
 
     while (!node_list.empty() && !last_round_done) {
         round++;
@@ -457,101 +291,30 @@ islandize(const CsrGraph &g, const LocatorConfig &cfg)
         const uint64_t islands_before = out.stats.islandsFound;
 
         // --- Th1: detect_hub (Algorithm 2) -------------------------
-        // Hub-ness is a pure function of degree and threshold, so the
-        // sweep shards across workers; per-worker hub/remaining lists
-        // concatenated in worker order replay the sequential scan
-        // order (chunks are contiguous).
+        // node_list holds only unclassified nodes (compacted at the
+        // end of every round).
         out.stats.hubDetectChecks += node_list.size();
-        struct HubDetectAcc
-        {
-            std::vector<NodeId> hubs;
-            std::vector<NodeId> remaining;
-        };
-        KernelRegion hub_detect_region("hub_detect");
-        std::vector<HubDetectAcc> dets = parallelAccumulate(
-            pool, 0, node_list.size(), HubDetectAcc{},
-            [&](HubDetectAcc &acc, int, size_t lo, size_t hi) {
-                for (size_t i = lo; i < hi; ++i) {
-                    const NodeId v = node_list[i];
-                    if (out.role[v] != NodeRole::Unclassified)
-                        continue; // classified in a previous round
-                    if (g.degree(v) >= th) {
-                        out.role[v] = NodeRole::Hub;
-                        out.hubRound[v] =
-                            static_cast<uint16_t>(round);
-                        acc.hubs.push_back(v);
-                    } else {
-                        acc.remaining.push_back(v);
-                    }
-                }
-            }, /*min_per_worker=*/256);
         std::vector<NodeId> hub_buffer;
-        std::vector<NodeId> remaining;
-        remaining.reserve(node_list.size());
-        for (HubDetectAcc &acc : dets) {
-            hub_buffer.insert(hub_buffer.end(), acc.hubs.begin(),
-                              acc.hubs.end());
-            remaining.insert(remaining.end(), acc.remaining.begin(),
-                             acc.remaining.end());
+        for (NodeId v : node_list) {
+            if (g.degree(v) >= th) {
+                out.role[v] = NodeRole::Hub;
+                out.hubRound[v] = static_cast<uint16_t>(round);
+                hub_buffer.push_back(v);
+            }
         }
-        node_list = std::move(remaining);
 
         // --- Th2 + Th3: task_assign (Alg. 3) + TP-BFS (Alg. 4) ----
-        // Innermost label wins, so this re-labels the rest of the
-        // round away from hub_detect_region above.
-        KernelRegion tpbfs_region("tpbfs_explore");
-        if (cfg.parallelEngines) {
-            // P2 concurrent engines, round-robin interleaved.
-            std::deque<std::pair<NodeId, NodeId>> tasks;
-            for (NodeId hub : hub_buffer) {
-                out.stats.adjListFetches++;
-                for (NodeId a0 : g.neighbors(hub))
-                    tasks.emplace_back(hub, a0);
-            }
-            runParallelTpBfs(st, tasks, th, round, inter_hub_raw);
-        } else {
-            // Worker-sharded speculative execution. The task list is
-            // generated in the sequential order (hub order, neighbor
-            // order), statically sharded across workers that explore
-            // against private marks, and the results are committed in
-            // global task order. Candidate islands are full
-            // components of the sub-threshold subgraph, so the
-            // committed partition — including island ids and BFS node
-            // order — is identical at every thread count; one shard
-            // replays the sequential interleaving exactly.
-            std::vector<std::pair<NodeId, NodeId>> tasks;
-            for (NodeId hub : hub_buffer) {
-                out.stats.adjListFetches++;
-                for (NodeId a0 : g.neighbors(hub))
-                    tasks.emplace_back(hub, a0);
-            }
-            const int shards =
-                pool.planChunks(0, tasks.size(), kMinTasksPerShard);
-            if (static_cast<size_t>(shards) > shard_ctxs.size())
-                shard_ctxs.resize(static_cast<size_t>(shards));
-            std::vector<TaskResult> results(tasks.size());
-            pool.parallelFor(0, tasks.size(),
-                             [&](int w, size_t lo, size_t hi) {
-                ShardCtx &ctx = shard_ctxs[static_cast<size_t>(w)];
-                if (ctx.visitedRound.size() != n) {
-                    ctx.visitedRound.assign(n, 0);
-                    ctx.visitedTask.assign(n, 0);
-                }
-                for (size_t i = lo; i < hi; ++i)
-                    results[i] = runTask(g, cfg, out.role, ctx,
-                                         tasks[i].first,
-                                         tasks[i].second, th, round);
-            }, kMinTasksPerShard);
-            const bool canon_needed = shards > 1;
-            if (canon_needed && canon.visitedRound.size() != n) {
-                canon.visitedRound.assign(n, 0);
-                canon.visitedTask.assign(n, 0);
-            }
-            for (size_t i = 0; i < results.size(); ++i)
-                commitTask(st, canon, canon_needed, results[i],
-                           tasks[i].first, tasks[i].second, th, round,
-                           inter_hub_raw);
+        // Tasks in hub order, then neighbor order.
+        std::vector<Edge> tasks;
+        for (NodeId hub : hub_buffer) {
+            out.stats.adjListFetches++;
+            for (NodeId a0 : g.neighbors(hub))
+                tasks.emplace_back(hub, a0);
         }
+        if (cfg.parallelEngines)
+            runParallelTpBfs(st, tasks, th, round);
+        else
+            tpBfs(st, tasks, th, round);
 
         // --- End-of-round threshold decay (Algorithm 1 line 10) ----
         auto next = static_cast<NodeId>(th * cfg.decay);
@@ -559,8 +322,8 @@ islandize(const CsrGraph &g, const LocatorConfig &cfg)
         if (th < 1)
             th = 1;
 
-        // Compact away classified nodes so the emptiness check below
-        // reflects the true N.
+        // Compact away this round's hubs and island nodes so the
+        // emptiness check below reflects the true N.
         std::erase_if(node_list, [&](NodeId v) {
             return out.role[v] != NodeRole::Unclassified;
         });
@@ -594,11 +357,12 @@ islandize(const CsrGraph &g, const LocatorConfig &cfg)
         }
     }
 
-    std::sort(inter_hub_raw.begin(), inter_hub_raw.end());
-    inter_hub_raw.erase(
-        std::unique(inter_hub_raw.begin(), inter_hub_raw.end()),
-        inter_hub_raw.end());
-    out.interHubEdges.assign(inter_hub_raw.begin(), inter_hub_raw.end());
+    // Each hub-hub edge was recorded from both ends (and again in
+    // later rounds); keep one copy and give the spare capacity back.
+    auto &ih = out.interHubEdges;
+    std::sort(ih.begin(), ih.end());
+    ih.erase(std::unique(ih.begin(), ih.end()), ih.end());
+    ih.shrink_to_fit();
     out.numRounds = static_cast<int>(round);
     return out;
 }

@@ -9,28 +9,25 @@
  * runs Threshold-based Parallel BFS from those starting points
  * (Algorithm 4) with the paper's three task-break conditions:
  *
- *  (A) the BFS reaches a node already claimed by another engine in
- *      this round (global-visited collision) -> drop task, roll back;
+ *  (A) the BFS reaches a node already claimed by another task in
+ *      this round (global-visited collision) -> drop task; marks are
+ *      rolled back when the claimer is still in flight (parallel
+ *      engines) and kept when it has finished (sequential loop);
  *  (B) the local visited count exceeds cmax -> drop task, keep marks;
  *  (C) query pointer catches up with the visit counter -> island found.
  *
- * The sequential software execution is observationally equivalent to
- * the paper's concurrent hardware: within a round hub-ness is decided
- * purely by the (fixed) threshold, so task interleaving only affects
- * *which* engine claims a region, not the set of islands, and
- * sequential task order is one valid interleaving.
- *
- * The default mode runs on the process-global thread pool: hub
- * detection and TP-BFS tasks are statically sharded across workers,
- * each shard explores speculatively against private visited marks,
- * and results are committed in global task order against a canonical
- * marks context (aborted tasks are replayed there, bounded by cmax
- * each). The commit therefore reconstructs the sequential execution
- * exactly: the partition — island membership, BFS node order, island
- * ids — AND every statistic and trace entry are identical at every
- * thread count, bit-identical to the sequential interleaving. The
- * cycle-level accelerator models consume these stats, so modeled
- * latency/energy never depends on IGCN_THREADS.
+ * The default mode runs TP-BFS as one sequential loop: the round's
+ * tasks are generated in hub order, then neighbor order, and each
+ * runs to completion and is recorded before the next starts. That
+ * is one valid interleaving of the paper's P2 concurrent engines:
+ * within a round hub-ness is decided purely by the (fixed)
+ * threshold, so task interleaving only affects *which* task claims
+ * a region, not whether it is an island. The locator does not use
+ * the thread pool, so the partition, every statistic and the task
+ * trace are the same at every IGCN_THREADS. The cycle-level
+ * accelerator models consume these stats, so modeled latency/energy
+ * never depends on the thread count either; the engines' parallelism
+ * is modeled in cycles (accel/locator_pipeline), not executed.
  */
 
 #pragma once
@@ -56,14 +53,14 @@ struct LocatorConfig
      *  only): lists arrive as 128-bit bursts of four 32-bit ids. */
     int bfsScanWidth = 4;
     /**
-     * Execute TP-BFS with P2 concurrent engine states advancing in
-     * round-robin interleaving, as the hardware does (Algorithm 1's
-     * Th3 across P2 engines). The default sequential mode processes
-     * one task at a time — a valid interleaving with fewer
-     * mid-exploration collisions. Both modes satisfy the same
-     * postconditions; the parallel mode exercises break condition A
-     * (global-visited collision with an *in-flight* engine) the way
-     * concurrent hardware does.
+     * Execute TP-BFS with P2 engine states advancing in round-robin
+     * interleaving, one node expansion per step, as the hardware does
+     * (Algorithm 1's Th3 across P2 engines). Break condition A then
+     * hits engines still in flight, and the colliding task's marks
+     * are rolled back as in the paper. This is a different
+     * interleaving from the default sequential loop, so islands,
+     * statistics and trace differ; both modes satisfy the same
+     * postconditions and both record one trace entry per task.
      */
     bool parallelEngines = false;
     /**

@@ -170,44 +170,63 @@ Server::traceRejection(const Rejection &rej, bool dropped)
 }
 
 void
+Server::serveInference(const MicroBatch &batch,
+                       const std::vector<uint32_t> *slo_epochs_behind,
+                       bool real_time, uint64_t &busy_until_us)
+{
+    BatchExecInfo info;
+    std::vector<InferenceResult> results =
+        engine.runBatch(batch.requests, &info);
+    const auto state = hub->acquire();
+    const uint64_t done = real_time
+        ? nowUs()
+        : batch.formedAtUs +
+            cfg.service.inferenceCostUs(info, state->graph.numNodes(),
+                                        state->graph.numEdges());
+    for (size_t i = 0; i < results.size(); ++i) {
+        InferenceResult &r = results[i];
+        r.startUs = batch.formedAtUs;
+        r.doneUs = done;
+        if (slo_epochs_behind) {
+            r.epochsBehind = (*slo_epochs_behind)[i];
+            r.deadlineUs = batch.requests[i].deadlineUs;
+            r.freshness = batch.requests[i].freshness;
+        }
+    }
+    traceInferenceBatch(batch.formedAtUs, done, info, results,
+                        state->graph.numNodes(),
+                        state->graph.numEdges());
+    for (InferenceResult &r : results) {
+        statsAcc.recordInference(r);
+        report.inference.push_back(std::move(r));
+    }
+    statsAcc.recordInferenceBatch(info);
+    busy_until_us = done;
+}
+
+void
+Server::serveUpdate(const MicroBatch &batch, bool real_time,
+                    uint64_t &busy_until_us)
+{
+    UpdateResult res = applier.apply(batch.requests);
+    res.startUs = batch.formedAtUs;
+    res.doneUs = real_time
+        ? nowUs()
+        : batch.formedAtUs + cfg.service.updateCostUs(res);
+    traceUpdateBatch(res);
+    statsAcc.recordUpdate(res);
+    busy_until_us = res.doneUs;
+    report.updates.push_back(std::move(res));
+}
+
+void
 Server::processBatch(const MicroBatch &batch, bool real_time,
                      uint64_t &busy_until_us)
 {
-    if (batch.kind == RequestKind::Inference) {
-        BatchExecInfo info;
-        std::vector<InferenceResult> results =
-            engine.runBatch(batch.requests, &info);
-        const auto state = hub->acquire();
-        const uint64_t done = real_time
-            ? nowUs()
-            : batch.formedAtUs +
-                cfg.service.inferenceCostUs(info,
-                                            state->graph.numNodes(),
-                                            state->graph.numEdges());
-        for (InferenceResult &r : results) {
-            r.startUs = batch.formedAtUs;
-            r.doneUs = done;
-        }
-        traceInferenceBatch(batch.formedAtUs, done, info, results,
-                            state->graph.numNodes(),
-                            state->graph.numEdges());
-        for (InferenceResult &r : results) {
-            statsAcc.recordInference(r);
-            report.inference.push_back(std::move(r));
-        }
-        statsAcc.recordInferenceBatch(info);
-        busy_until_us = done;
-    } else {
-        UpdateResult res = applier.apply(batch.requests);
-        res.startUs = batch.formedAtUs;
-        res.doneUs = real_time
-            ? nowUs()
-            : batch.formedAtUs + cfg.service.updateCostUs(res);
-        traceUpdateBatch(res);
-        statsAcc.recordUpdate(res);
-        busy_until_us = res.doneUs;
-        report.updates.push_back(std::move(res));
-    }
+    if (batch.kind == RequestKind::Inference)
+        serveInference(batch, nullptr, real_time, busy_until_us);
+    else
+        serveUpdate(batch, real_time, busy_until_us);
 }
 
 ReplayReport
@@ -268,45 +287,11 @@ Server::handleSloDecision(SloScheduler::Decision &d, bool real_time,
     if (d.kind == SloScheduler::Decision::Kind::Drops)
         return;
 
-    if (d.kind == SloScheduler::Decision::Kind::Inference) {
-        BatchExecInfo info;
-        std::vector<InferenceResult> results =
-            engine.runBatch(d.batch.requests, &info);
-        const auto state = hub->acquire();
-        const uint64_t done = real_time
-            ? nowUs()
-            : d.batch.formedAtUs +
-                cfg.service.inferenceCostUs(info,
-                                            state->graph.numNodes(),
-                                            state->graph.numEdges());
-        for (size_t i = 0; i < results.size(); ++i) {
-            InferenceResult &r = results[i];
-            r.startUs = d.batch.formedAtUs;
-            r.doneUs = done;
-            r.epochsBehind = d.epochsBehind[i];
-            r.deadlineUs = d.batch.requests[i].deadlineUs;
-            r.freshness = d.batch.requests[i].freshness;
-        }
-        traceInferenceBatch(d.batch.formedAtUs, done, info, results,
-                            state->graph.numNodes(),
-                            state->graph.numEdges());
-        for (InferenceResult &r : results) {
-            statsAcc.recordInference(r);
-            report.inference.push_back(std::move(r));
-        }
-        statsAcc.recordInferenceBatch(info);
-        busy_until_us = done;
-    } else {
-        UpdateResult res = applier.apply(d.batch.requests);
-        res.startUs = d.batch.formedAtUs;
-        res.doneUs = real_time
-            ? nowUs()
-            : d.batch.formedAtUs + cfg.service.updateCostUs(res);
-        traceUpdateBatch(res);
-        statsAcc.recordUpdate(res);
-        busy_until_us = res.doneUs;
-        report.updates.push_back(std::move(res));
-    }
+    if (d.kind == SloScheduler::Decision::Kind::Inference)
+        serveInference(d.batch, &d.epochsBehind, real_time,
+                       busy_until_us);
+    else
+        serveUpdate(d.batch, real_time, busy_until_us);
 }
 
 ReplayReport

@@ -158,6 +158,14 @@ class Server
     uint64_t currentEpoch() const { return hub->currentEpoch(); }
 
   private:
+    // One helper per batch kind, shared by the FCFS and SLO paths.
+    // The SLO path passes its per-request staleness, which also
+    // copies each request's deadline and freshness into its result.
+    void serveInference(const MicroBatch &batch,
+                        const std::vector<uint32_t> *slo_epochs_behind,
+                        bool real_time, uint64_t &busy_until_us);
+    void serveUpdate(const MicroBatch &batch, bool real_time,
+                     uint64_t &busy_until_us);
     void processBatch(const MicroBatch &batch, bool real_time,
                       uint64_t &busy_until_us);
     ReplayReport runTraceFcfs(std::vector<Request> trace);

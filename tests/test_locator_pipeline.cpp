@@ -125,5 +125,25 @@ TEST(LocatorPipeline, TraceAccountsEveryTask)
     EXPECT_EQ(traced_edges, isl.stats.edgesScanned);
 }
 
+TEST(LocatorPipeline, EngineModeTraceAccountsEveryTask)
+{
+    // The parallel-engine mode records its trace through the same
+    // task-pop and island-recording code as the sequential loop, so
+    // the pipeline model runs on either interleaving.
+    auto data = buildDataset(Dataset::Cora);
+    LocatorConfig cfg;
+    cfg.parallelEngines = true;
+    auto isl = tracedIslandize(data.graph, cfg);
+    EXPECT_EQ(isl.taskTrace.size(), isl.stats.tasksGenerated);
+    uint64_t traced_edges = 0;
+    for (const TaskTrace &t : isl.taskTrace)
+        traced_edges += t.edgesScanned;
+    EXPECT_EQ(traced_edges, isl.stats.edgesScanned);
+    LocatorPipelineStats stats;
+    ASSERT_NO_THROW(stats = simulateLocatorPipeline(isl, cfg));
+    EXPECT_EQ(stats.rounds.size(), isl.rounds.size());
+    EXPECT_GT(stats.totalCycles, 0u);
+}
+
 } // namespace
 } // namespace igcn

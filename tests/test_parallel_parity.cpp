@@ -3,9 +3,9 @@
  * Differential and property tests for the parallel kernels.
  *
  * Every kernel that moved onto the thread pool — the four SpMM
- * dataflows, csrTransposeTimesDense and the locator's islandize — is
- * checked at 1/2/4/8 threads across the four graph families against
- * a sequential reference written with the pre-refactor loop orders:
+ * dataflows and csrTransposeTimesDense — is checked at 1/2/4/8
+ * threads across the four graph families against a sequential
+ * reference written with the pre-refactor loop orders:
  *
  *  - at 1 thread the parallel kernel must be BIT-identical to the
  *    sequential reference (one chunk, one accumulator, same float
@@ -19,13 +19,14 @@
  *    versions guaranteed — which these tests also still imply);
  *  - hardware access counters are arithmetic and must be exact at
  *    every thread count;
- *  - islandize must reproduce the sequential execution exactly at
- *    every thread count: the island partition (ids, membership, BFS
- *    node order, roles, inter-hub map, per-round record) AND all
- *    statistics and trace entries (the commit phase replays aborted
- *    tasks against canonical marks, so even wasted-work accounting
- *    is thread-invariant — the accelerator timing models depend on
- *    that).
+ *  - islandize runs sequentially; its full output — the island
+ *    partition (ids, membership, BFS node order, roles, inter-hub
+ *    map, per-round record), all statistics and the task trace — is
+ *    pinned as a digest per input and checked at every thread count,
+ *    in both the default and the parallel-engine mode. The digests
+ *    were taken from the earlier worker-sharded locator, so they are
+ *    an oracle independent of the current implementation; the
+ *    accelerator timing models consume exactly these numbers.
  *
  * A fuzz sweep over randomized small CSR matrices (empty rows,
  * isolated vertices, skewed degree distributions, rectangular shapes)
@@ -473,7 +474,7 @@ TEST_F(ParityTest, TransposeGatherBitIdenticalThroughCachedAndColdCsc)
 }
 
 // ---------------------------------------------------------------------
-// Islandize: identical partition at every thread count
+// Islandize: pinned output at every thread count
 // ---------------------------------------------------------------------
 
 void
@@ -628,9 +629,8 @@ engineDigest(const CsrGraph &g, LocatorConfig cfg)
 
 TEST_F(ParityTest, IslandizePartitionIdenticalAcrossThreads)
 {
-    // The commit phase replays aborted tasks against canonical marks,
-    // so not just the partition but EVERY statistic and trace entry
-    // must equal the 1-thread (= pre-refactor sequential) run: the
+    // Not just the partition but EVERY statistic and trace entry
+    // must equal the 1-thread run and the pinned digest: the
     // cycle-level accelerator models consume these stats, and their
     // modeled latency must not depend on IGCN_THREADS.
     std::vector<FamilyCase> cases = graphFamilies();
@@ -674,10 +674,9 @@ TEST_F(ParityTest, IslandizePartitionIdenticalAcrossThreads)
 
 TEST_F(ParityTest, IslandizeSmallIslandConfigAcrossThreads)
 {
-    // Small cmax exercises the oversize path (break condition B),
-    // where speculative shards re-scan components and the commit
-    // replay has real work to do: partition AND stats must still
-    // match the sequential run exactly.
+    // Small cmax exercises the oversize path (break condition B) and
+    // its kept marks, which decide how many sibling tasks drop at
+    // start: partition AND stats must match the pinned digests.
     auto hi = hubAndIslandGraph({.numNodes = 1200, .seed = 47});
     LocatorConfig cfg;
     cfg.maxIslandSize = 4;
