@@ -30,6 +30,7 @@
 #include "gcn/reference.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
+#include "replay_digest.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/server.hpp"
 #include "serve/trace.hpp"
@@ -282,6 +283,88 @@ TEST(ServingReplay, PerRequestResultsInvariantAcrossBatchCaps)
             EXPECT_EQ(sigs[i].updateEpochs[e],
                       sigs[i].updateEpochs[e - 1] + 1);
     }
+}
+
+TEST(ServingReplay, FcfsReplayDigestsPinnedAcrossCapsAndThreads)
+{
+    // Reference output of FCFS replay, pinned as replayDigest
+    // constants taken from the scheduler before FCFS became the SLO
+    // scheduler's no-SLO case: every result in report order with its
+    // times, epochs and logit bits, and the stats summary. Three
+    // traces (mixed, deletion-heavy, sparse features) at caps
+    // 1/4/64; every digest must hold at every thread count.
+    struct Input
+    {
+        const char *name;
+        Workload w;
+        Features features;
+        std::vector<Request> trace;
+        uint64_t pinned[3]; // caps 1, 4, 64
+    };
+    std::vector<Input> inputs;
+    {
+        Workload w = makeWorkload(800, 16, 12, 6, 2, 9);
+        TraceConfig tc;
+        tc.numInference = 600;
+        tc.numUpdates = 60;
+        tc.seed = 3;
+        std::vector<Request> trace = makeSyntheticTrace(w.graph, tc);
+        Features f = w.asFeatures();
+        inputs.push_back({"mixed", std::move(w), std::move(f),
+                          std::move(trace),
+                          {0x0a3657eec96007d5ull, 0xce9572a8df3d764eull,
+                           0xce9572a8df3d764eull}});
+    }
+    {
+        Workload w = makeWorkload(700, 16, 12, 6, 2, 41);
+        TraceConfig tc;
+        tc.numInference = 400;
+        tc.numUpdates = 60;
+        tc.removeFraction = 0.6;
+        tc.seed = 8;
+        std::vector<Request> trace = makeSyntheticTrace(w.graph, tc);
+        Features f = w.asFeatures();
+        inputs.push_back({"deletion-heavy", std::move(w), std::move(f),
+                          std::move(trace),
+                          {0xc4c267dc9c36077cull, 0xd0269ec49b4ce400ull,
+                           0xd0269ec49b4ce400ull}});
+    }
+    {
+        Workload w = makeWorkload(800, 96, 12, 6, 2, 9);
+        Rng rng(51);
+        w.features.fillRandomSparse(rng, 0.01, 1.0f);
+        Features f;
+        f.sparse = true;
+        f.csr = denseToCsrFeatures(w.features);
+        TraceConfig tc;
+        tc.numInference = 300;
+        tc.numUpdates = 30;
+        tc.seed = 8;
+        std::vector<Request> trace = makeSyntheticTrace(w.graph, tc);
+        inputs.push_back({"sparse", std::move(w), std::move(f),
+                          std::move(trace),
+                          {0xb2152e339e7455a7ull, 0xc1fc2ad2e086319dull,
+                           0xa758d582f64e1e95ull}});
+    }
+
+    const uint32_t caps[] = {1, 4, 64};
+    for (int threads : {1, 2, 4, 8}) {
+        setGlobalThreads(threads);
+        for (const Input &in : inputs) {
+            for (int c = 0; c < 3; ++c) {
+                ServerConfig sc;
+                sc.scheduler.maxBatch = caps[c];
+                Server server(in.w.graph, in.features, in.w.weights,
+                              sc);
+                const ReplayReport rep = server.runTrace(in.trace);
+                EXPECT_EQ(replayDigest(rep, server.stats()),
+                          in.pinned[c])
+                    << in.name << ", cap " << caps[c] << ", "
+                    << threads << " threads";
+            }
+        }
+    }
+    setGlobalThreads(0);
 }
 
 TEST(ServingReplay, UpdatesTakeEffectAndMatchFinalReference)

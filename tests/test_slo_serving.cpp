@@ -36,6 +36,7 @@
 
 #include "graph/generators.hpp"
 #include "gcn/reference.hpp"
+#include "replay_digest.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/server.hpp"
 #include "serve/trace.hpp"
@@ -341,6 +342,60 @@ TEST(SloReplay, DecisionsBitIdenticalAcrossThreadsAndQueueCaps)
         EXPECT_EQ(sigs[0], sigs[1]) << "cap " << cap;
         EXPECT_EQ(sigs[0], sigs[2]) << "cap " << cap;
     }
+}
+
+TEST(SloReplay, ReplayDigestsPinnedAcrossThreads)
+{
+    // Reference output of the overload trace, pinned as replayDigest
+    // constants: once through the SLO layer (admission rejections,
+    // expiries and shed-stale drops all engage) and once with the
+    // SLO layer off, where FCFS must ignore the trace's deadlines
+    // and serve everything in arrival order. Both digests must hold
+    // at every thread count.
+    Workload w = makeWorkload(500, 23);
+    TraceConfig tc;
+    tc.numInference = 1200;
+    tc.numUpdates = 120;
+    tc.meanGapUs = 25.0;
+    tc.numTenants = 3;
+    tc.deadlineUs = 300;
+    tc.strictFraction = 0.2;
+    tc.removeFraction = 0.3;
+    tc.seed = 17;
+    const std::vector<Request> trace = makeSyntheticTrace(w.graph, tc);
+    ServerConfig slo_sc;
+    slo_sc.scheduler.maxBatch = 8;
+    slo_sc.slo.enabled = true;
+    slo_sc.slo.queueCap = 16;
+    slo_sc.slo.qpsBudget = 8000.0;
+    slo_sc.slo.stalenessBound = 1;
+    // Slow update applications: requests pooled behind one outlive
+    // their deadlines.
+    slo_sc.service.updateFixedUs = 400.0;
+    ServerConfig fcfs_sc;
+    fcfs_sc.scheduler.maxBatch = 8;
+    fcfs_sc.service = slo_sc.service;
+    const uint64_t pinned_slo = 0x32b7bd6bcb1a7d21ull;
+    const uint64_t pinned_fcfs = 0xc9b0959c211f34e7ull;
+
+    for (int threads : {1, 2, 4, 8}) {
+        setGlobalThreads(threads);
+        Server slo(w.graph, w.features, w.weights, slo_sc);
+        const ReplayReport rep = slo.runTrace(trace);
+        const ServerStats &st = slo.stats();
+        EXPECT_GT(st.shedRequests(), 0u);
+        EXPECT_GT(st.expiredRequests(), 0u);
+        EXPECT_GT(st.shedStaleRequests(), 0u);
+        EXPECT_EQ(replayDigest(rep, st), pinned_slo)
+            << threads << " threads";
+
+        Server fcfs(w.graph, w.features, w.weights, fcfs_sc);
+        const ReplayReport frep = fcfs.runTrace(trace);
+        EXPECT_TRUE(frep.rejections.empty());
+        EXPECT_EQ(replayDigest(frep, fcfs.stats()), pinned_fcfs)
+            << threads << " threads";
+    }
+    setGlobalThreads(0);
 }
 
 TEST(SloReplay, ServedResultsBitIdenticalToFreshReference)
