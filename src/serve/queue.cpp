@@ -25,20 +25,6 @@ RequestQueue::close()
 }
 
 bool
-RequestQueue::closed() const
-{
-    MutexLock lock(mutex);
-    return isClosed;
-}
-
-size_t
-RequestQueue::size() const
-{
-    MutexLock lock(mutex);
-    return items.size();
-}
-
-bool
 RequestQueue::tryPop(Request &out)
 {
     MutexLock lock(mutex);
@@ -49,42 +35,20 @@ RequestQueue::tryPop(Request &out)
     return true;
 }
 
-RequestQueue::Pop
+bool
 RequestQueue::popHead(Request &out)
 {
     MutexLock lock(mutex);
     while (items.empty() && !isClosed)
         cv.wait(mutex);
     if (items.empty())
-        return Pop::Closed;
+        return false;
     out = std::move(items.front());
     items.pop_front();
-    return Pop::Got;
-}
-
-RequestQueue::Pop
-RequestQueue::popKindBefore(RequestKind kind, uint64_t deadline_us,
-                            Request &out)
-{
-    MutexLock lock(mutex);
-    if (items.empty())
-        return isClosed ? Pop::Closed : Pop::NotReady;
-    const Request &head = items.front();
-    if (head.kind != kind || head.arrivalUs > deadline_us)
-        return Pop::NotReady;
-    out = std::move(items.front());
-    items.pop_front();
-    return Pop::Got;
+    return true;
 }
 
 // ------------------------------------------------------------ EdfQueue
-
-EdfQueue::Key
-EdfQueue::keyOf(const Request &r, uint64_t)
-{
-    return Key{r.deadlineUs == 0 ? ~uint64_t{0} : r.deadlineUs,
-               static_cast<uint8_t>(r.priority), r.arrivalUs, r.id};
-}
 
 bool
 EdfQueue::eligible(const Entry &e, uint64_t applied_seq,
@@ -99,17 +63,32 @@ EdfQueue::eligible(const Entry &e, uint64_t applied_seq,
 void
 EdfQueue::add(Request r, uint64_t required_seq)
 {
-    const Key key = keyOf(r, required_seq);
+    const uint64_t admitted = admittedCount++;
+    const Key key = edf
+        ? Key{r.deadlineUs == 0 ? ~uint64_t{0} : r.deadlineUs,
+              static_cast<uint8_t>(r.priority), r.arrivalUs, admitted}
+        : Key{0, 0, r.arrivalUs, admitted};
     pool.emplace(key, Entry{std::move(r), required_seq});
 }
 
 uint64_t
 EdfQueue::earliestArrivalUs() const
 {
+    if (!edf)
+        return pool.begin()->second.req.arrivalUs;
     uint64_t earliest = ~uint64_t{0};
     for (const auto &[key, e] : pool)
         earliest = std::min(earliest, e.req.arrivalUs);
     return earliest;
+}
+
+uint64_t
+EdfQueue::minRequiredSeq() const
+{
+    uint64_t least = ~uint64_t{0};
+    for (const auto &[key, e] : pool)
+        least = std::min(least, e.requiredSeq);
+    return least;
 }
 
 bool

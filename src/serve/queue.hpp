@@ -1,29 +1,20 @@
 /**
  * @file
- * Thread-safe FCFS request queue.
+ * The two request containers of the serving subsystem.
  *
- * The queue is strictly first-come-first-served: the scheduler only
- * ever inspects and pops the *head*, so requests can never be
- * reordered — an Update at the head closes the inference micro-batch
- * being formed, which is what gives updates their sequence-point
- * semantics (every inference request before the update in arrival
- * order is served against the pre-update epoch, everything after
- * against the post-update epoch).
- *
- * Two clock disciplines share one implementation:
- *  - virtual (replay) mode: the driver pre-loads the entire trace and
- *    closes the queue; batching decisions are a pure function of the
- *    trace timestamps and the scheduler config;
- *  - real-time mode: arrivals are stamped by the server clock and
- *    popHead blocks until a request is queued or the queue closes.
- * In both, the batch is filled by popKindBefore, which never blocks:
- * it takes only requests already queued when the batch starts.
+ *  - RequestQueue: the thread-safe hand-off of live traffic.
+ *    Submitter threads push requests stamped by the server clock;
+ *    the real-time scheduler thread drains them, blocking in popHead
+ *    only while the scheduler has nothing pooled. Replay never uses
+ *    it: the replay loop admits trace requests directly.
+ *  - EdfQueue: the scheduler's single-threaded pool of admitted
+ *    inference requests, in EDF order (SLO serving) or arrival order
+ *    (FCFS serving).
  */
 
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
@@ -33,69 +24,53 @@
 
 namespace igcn::serve {
 
-/** FCFS queue; see file comment for the two clock disciplines. */
+/** FIFO hand-off between submitter threads and the live scheduler
+ *  thread; see file comment. */
 class RequestQueue
 {
   public:
-    /** Clock used by real-time waits: microseconds on the server clock. */
-    using NowFn = std::function<uint64_t()>;
-
-    enum class Pop : uint8_t
-    {
-        Got,      ///< head popped into out
-        NotReady, ///< head exists but is ineligible (kind/deadline)
-        Closed,   ///< queue closed and drained
-    };
-
     /** Append a request (FIFO) and wake waiters. */
     void push(Request r);
 
-    /** Non-blocking pop of the head, whatever its kind. */
+    /** Non-blocking pop of the head. */
     bool tryPop(Request &out);
+
+    /**
+     * Blocking pop of the head: waits until a request is queued or
+     * the queue is closed. False once the queue is closed and
+     * drained.
+     */
+    bool popHead(Request &out);
 
     /** Mark end-of-stream; blocked pops return once drained. */
     void close();
 
-    bool closed() const;
-    size_t size() const;
-
-    /**
-     * Blocking pop of the head, whatever its kind: waits until a
-     * request is queued or the queue is closed and drained. Never
-     * returns NotReady.
-     */
-    Pop popHead(Request &out);
-
-    /**
-     * Non-blocking pop of the head only if it is a `kind` request
-     * with arrival <= deadline_us: an empty queue, a different kind,
-     * or a later arrival is NotReady (an empty closed queue is
-     * Closed).
-     */
-    Pop popKindBefore(RequestKind kind, uint64_t deadline_us,
-                      Request &out);
-
   private:
-    mutable Mutex mutex;
+    Mutex mutex;
     CondVar cv;
     std::deque<Request> items IGCN_GUARDED_BY(mutex);
     bool isClosed IGCN_GUARDED_BY(mutex) = false;
 };
 
 /**
- * Earliest-deadline-first pool of admitted inference requests.
+ * Pool of admitted inference requests, popped in one of two orders.
  *
- * Ordering key: (deadline, priority, arrival, id) — EDF first, with
- * no-deadline requests (deadlineUs == 0) forming an arrival-ordered
- * tail after every deadlined request, and Priority breaking deadline
- * ties. The pool also carries each request's freshness requirement:
+ * EDF order (SLO serving), key (deadline, priority, arrival,
+ * admission order): earliest deadline first, with no-deadline
+ * requests (deadlineUs == 0) forming an arrival-ordered tail after
+ * every deadlined request, and Priority breaking deadline ties.
+ * Arrival order (FCFS serving), key (arrival, admission order):
+ * deadlines and priorities are ignored.
+ *
+ * The pool also carries each request's freshness requirement:
  * `requiredSeq` is the number of update requests admitted before it,
  * and the request is *eligible* once the applier has caught up to
  * within its staleness budget (0 for Freshness::Strict, the
  * configured bound for Bounded). Scheduling = pop eligible entries
- * in EDF order; requests whose deadline passes while pooled are
- * dropped and classified (Expired if they were eligible and simply
- * waited too long, ShedStale if the freshness gate was the blocker).
+ * in pool order; in EDF order, requests whose deadline passes while
+ * pooled are dropped and classified (Expired if they were eligible
+ * and simply waited too long, ShedStale if the freshness gate was
+ * the blocker).
  *
  * Single-threaded by design: the replay loop owns one, and the
  * real-time scheduler thread owns one. Thread-safe hand-off happens
@@ -118,6 +93,10 @@ class EdfQueue
         ServeError error = ServeError::Expired;
     };
 
+    /** @param edf  EDF order; false = arrival order (see class
+     *              comment) */
+    explicit EdfQueue(bool edf = true) : edf(edf) {}
+
     void add(Request r, uint64_t required_seq);
 
     bool empty() const { return pool.empty(); }
@@ -127,9 +106,14 @@ class EdfQueue
      *  non-empty). */
     uint64_t earliestArrivalUs() const;
 
+    /** Smallest requiredSeq among pooled entries (pool must be
+     *  non-empty). */
+    uint64_t minRequiredSeq() const;
+
     /**
-     * Pop the EDF-first entry eligible at `applied_seq` updates
-     * applied, under staleness bound K (Strict entries use 0).
+     * Pop the first entry in pool order eligible at `applied_seq`
+     * updates applied, under staleness bound K (Strict entries use
+     * 0).
      * False when no pooled entry is eligible.
      */
     bool popEligible(uint64_t applied_seq, uint32_t staleness_bound,
@@ -150,13 +134,14 @@ class EdfQueue
         uint64_t deadline; // 0 mapped to UINT64_MAX
         uint8_t priority;
         uint64_t arrival;
-        uint64_t id;
+        uint64_t admitted; // admission order
         auto operator<=>(const Key &) const = default;
     };
-    static Key keyOf(const Request &r, uint64_t required_seq);
     static bool eligible(const Entry &e, uint64_t applied_seq,
                          uint32_t staleness_bound);
 
+    bool edf;
+    uint64_t admittedCount = 0;
     std::map<Key, Entry> pool;
 };
 

@@ -1,63 +1,19 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace igcn::serve {
 
-Scheduler::Scheduler(RequestQueue &queue, SchedulerConfig cfg,
-                     bool real_time, RequestQueue::NowFn now_us)
-    : queue(queue), cfg(cfg), realTime(real_time),
-      nowUs(std::move(now_us))
-{
-    if (realTime && !nowUs)
-        throw std::invalid_argument(
-            "Scheduler: real_time mode requires a now_us clock");
-}
-
-bool
-Scheduler::next(uint64_t not_before_us, MicroBatch &out)
-{
-    Request first;
-    if (queue.popHead(first) == RequestQueue::Pop::Closed)
-        return false;
-
-    // Continuous batching (the SloScheduler discipline): the batch
-    // starts the moment the engine and the head are both ready, and
-    // admits exactly the same-kind requests already arrived by then —
-    // no straggler wait, so under light load requests go out alone
-    // immediately and under load batches fill from the backlog.
-    const uint64_t start = std::max(not_before_us, first.arrivalUs);
-    const uint32_t cap = first.kind == RequestKind::Inference
-        ? std::max<uint32_t>(1, cfg.maxBatch)
-        : std::max<uint32_t>(1, cfg.maxUpdateCoalesce);
-
-    out.kind = first.kind;
-    out.requests.clear();
-    out.requests.push_back(std::move(first));
-    Request r;
-    while (out.requests.size() < cap &&
-           queue.popKindBefore(out.kind, start, r) ==
-               RequestQueue::Pop::Got)
-        out.requests.push_back(std::move(r));
-
-    // The dispatch moment: the batch boundary is the engine-free
-    // instant itself in both clock disciplines (real-time arrivals
-    // are stamped by the same clock, so everything queued is already
-    // eligible).
-    out.formedAtUs = realTime ? nowUs() : start;
-    return true;
-}
-
-// -------------------------------------------------------- SloScheduler
-
-SloScheduler::SloScheduler(SchedulerConfig batch_cfg, SloConfig slo,
-                           const FaultPlan *faults)
-    : cfg(batch_cfg), slo(slo), faults(faults)
+Scheduler::Scheduler(SchedulerConfig batch_cfg, SloConfig slo,
+                     const FaultPlan *faults)
+    : cfg(batch_cfg), fcfs(!slo.enabled),
+      faults(slo.enabled ? faults : nullptr),
+      stalenessBound(slo.enabled ? slo.stalenessBound : 0),
+      inf(/*edf=*/slo.enabled)
 {}
 
 void
-SloScheduler::admit(Request r)
+Scheduler::admit(Request r)
 {
     if (r.kind == RequestKind::Update) {
         admittedUpd++;
@@ -68,7 +24,7 @@ SloScheduler::admit(Request r)
 }
 
 uint64_t
-SloScheduler::nextDispatchTimeUs(uint64_t busy_until_us) const
+Scheduler::nextDispatchTimeUs(uint64_t busy_until_us) const
 {
     uint64_t earliest = ~uint64_t{0};
     if (!inf.empty())
@@ -82,7 +38,7 @@ SloScheduler::nextDispatchTimeUs(uint64_t busy_until_us) const
 }
 
 bool
-SloScheduler::next(uint64_t busy_until_us, Decision &out)
+Scheduler::next(uint64_t busy_until_us, Decision &out)
 {
     out = Decision{};
     if (empty())
@@ -90,14 +46,15 @@ SloScheduler::next(uint64_t busy_until_us, Decision &out)
     const uint64_t t = nextDispatchTimeUs(busy_until_us);
 
     // 1. Drop-expired: requests that cannot start by their deadline
-    // are refused, never served late.
-    out.dropped = inf.dropExpired(t, applied, slo.stalenessBound);
+    // are refused, never served late. FCFS ignores deadlines.
+    if (!fcfs)
+        out.dropped = inf.dropExpired(t, applied, stalenessBound);
 
-    // 2. EDF inference batch over eligible requests.
+    // 2. Inference batch over eligible requests, in pool order.
     const uint32_t inf_cap = std::max<uint32_t>(1, cfg.maxBatch);
     EdfQueue::Entry e;
     while (out.batch.requests.size() < inf_cap &&
-           inf.popEligible(applied, slo.stalenessBound, e)) {
+           inf.popEligible(applied, stalenessBound, e)) {
         out.epochsBehind.push_back(static_cast<uint32_t>(
             e.requiredSeq > applied ? e.requiredSeq - applied : 0));
         out.batch.requests.push_back(std::move(e.req));
@@ -111,10 +68,12 @@ SloScheduler::next(uint64_t busy_until_us, Decision &out)
 
     // 3. Update application (coalesced). Reached when no inference
     // is eligible: pool empty, or everyone is blocked on these
-    // updates.
+    // updates. FCFS stops at the first pooled inference request in
+    // arrival order; that cap is >= 1 because it is ineligible.
     if (!upd.empty()) {
-        const uint32_t upd_cap =
-            std::max<uint32_t>(1, cfg.maxUpdateCoalesce);
+        uint64_t upd_cap = std::max<uint32_t>(1, cfg.maxUpdateCoalesce);
+        if (fcfs && !inf.empty())
+            upd_cap = std::min(upd_cap, inf.minRequiredSeq() - applied);
         out.kind = Decision::Kind::Update;
         out.batch.kind = RequestKind::Update;
         out.batch.formedAtUs = t;

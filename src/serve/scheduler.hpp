@@ -1,31 +1,28 @@
 /**
  * @file
- * FCFS micro-batching scheduler.
+ * The serving scheduler: one micro-batching core for FCFS and SLO
+ * serving, replay and live traffic alike.
  *
- * Batching rule (the µLLM/vLLM continuous-batching shape adapted to
- * graph serving, same discipline as SloScheduler): pop the queue
- * head; the batch starts at start = max(engine-busy-until, head
- * arrival) and admits the same-kind requests with arrival <= start,
- * up to the kind's size cap — the batch is whatever is eligible when
- * the engine frees up, with no straggler wait. The legacy rule
- * instead held the batch open for a fixed straggler window after
- * start, taxing every admitted request with the wait for stragglers
- * even when the size cap had headroom; tests/test_serving.cpp pins
- * the differential against an in-test model of that rule. A head of
- * the other kind closes the batch — FCFS order between inference
- * and updates is never violated, which is what makes per-request
- * results independent of the batch cap (an update can never jump
- * ahead of, or fall behind, an inference request it raced in arrival
- * order).
- * Consecutive updates coalesce into one application regardless of
- * whether they add or delete edges — the applier folds the mixed
- * span into one last-write-wins net effect (the mixed-span
- * coalescing rule) — the exact batched `std::span` pattern
+ * Continuous batching (the µLLM/vLLM shape adapted to graph
+ * serving): at every engine-free moment the scheduler forms one
+ * batch from the requests already admitted, with no straggler wait
+ * — under load batches fill from the backlog, under light load
+ * requests go out alone immediately. The legacy rule instead held
+ * the batch open for a fixed straggler window; tests/test_serving.cpp
+ * pins the differential against an in-test model of that rule.
+ *
+ * Inference and updates interleave as graph epochs: each inference
+ * request records how many updates were admitted before it, and is
+ * served only once enough of them are applied. Consecutive updates
+ * coalesce into one application regardless of whether they add or
+ * delete edges — the applier folds the mixed span into one
+ * last-write-wins net effect, the exact batched `std::span` pattern
  * updateIslandization is tested for.
  *
- * In virtual mode the decisions above are a pure function of the
- * trace timestamps and this config — the determinism contract the
- * test suite locks in across thread counts and batch caps.
+ * In replay the decisions are a pure function of the admitted
+ * request timestamps, this config and the fault plan — the
+ * determinism contract the test suite locks in across thread counts
+ * and batch caps.
  */
 
 #pragma once
@@ -53,78 +50,50 @@ struct MicroBatch
     uint64_t formedAtUs = 0;
 };
 
-/** Forms FCFS micro-batches from a RequestQueue. */
+/**
+ * The scheduler core: a pool of admitted inference requests, an
+ * arrival-ordered update queue, and one decision per engine-free
+ * moment t:
+ *
+ *  1. SLO only: drop every pooled inference request whose deadline
+ *     passed (< t): Expired if it was eligible and simply waited too
+ *     long, ShedStale if it was blocked on its freshness gate.
+ *  2. If any pooled inference request is *eligible* — the applier is
+ *     within its staleness budget — serve an inference batch:
+ *     eligible requests in pool order, up to maxBatch.
+ *  3. Otherwise apply a coalesced update batch, up to
+ *     maxUpdateCoalesce.
+ *
+ * With the SLO layer on (`slo.enabled`), the pool is in EDF order,
+ * Freshness::Bounded requests may run up to `slo.stalenessBound`
+ * updates behind (Strict ones 0), and the fault plan's engine
+ * stalls delay dispatch. Step 2 before step 3 keeps p99 flat during
+ * update bursts: bounded-staleness requests keep being served from
+ * the current epoch while updates queue, and updates apply exactly
+ * when the staleness bound forces them (every pooled request
+ * ineligible) or when inference goes idle.
+ *
+ * With the SLO layer off the scheduler is FCFS: the pool is in
+ * arrival order, nothing is dropped, staleness is 0, the fault plan
+ * is ignored, and an update batch never reaches past the first
+ * pooled inference request in arrival order. So each inference
+ * request sees exactly the updates that arrived before it, and
+ * per-request results are independent of the batch caps. (Without
+ * that cap, U1@0, I1@1, U2@2 with the engine busy until 10 would
+ * coalesce {U1, U2} and serve I1 one epoch late.)
+ *
+ * Either way ineligibility implies pending updates (requiredSeq
+ * counts only admitted updates), so the policy never deadlocks and
+ * an update batch is never empty.
+ *
+ * Single-threaded: the replay loop owns one, and the real-time
+ * scheduler thread owns one.
+ */
 class Scheduler
 {
   public:
-    /**
-     * @param queue      the queue to drain
-     * @param cfg        batching knobs
-     * @param real_time  stamp dispatch times from now_us (live
-     *                   traffic) rather than from trace timestamps
-     *                   (trace replay)
-     * @param now_us     server clock, required when real_time
-     */
-    Scheduler(RequestQueue &queue, SchedulerConfig cfg, bool real_time,
-              RequestQueue::NowFn now_us = {});
-
-    /**
-     * Form the next micro-batch. not_before_us is the engine's
-     * busy-until time (virtual mode; pass the current clock in
-     * real-time mode) — the batch cannot start before it.
-     * @return false when the queue is closed and drained.
-     */
-    bool next(uint64_t not_before_us, MicroBatch &out);
-
-    const SchedulerConfig &config() const { return cfg; }
-
-  private:
-    RequestQueue &queue;
-    SchedulerConfig cfg;
-    bool realTime;
-    RequestQueue::NowFn nowUs;
-};
-
-/**
- * The SLO-aware scheduler core: EDF + drop-expired over admitted
- * inference requests, arrival-ordered update application, and
- * bounded-staleness interleaving.
- *
- * Policy, applied at every engine-free moment t:
- *
- *  1. Drop every pooled inference request whose deadline passed
- *     (< t): Expired if it was eligible and simply waited too long,
- *     ShedStale if it was blocked on its freshness gate.
- *  2. If any pooled inference request is *eligible* — the applier is
- *     within its staleness budget (0 for Strict, K for Bounded) —
- *     serve an inference batch: eligible requests in EDF order, up
- *     to maxBatch.
- *  3. Otherwise, if updates are pending, apply a coalesced update
- *     batch (up to maxUpdateCoalesce).
- *
- * Step 2 before step 3 is what keeps p99 flat during update bursts:
- * bounded-staleness requests keep being served from the current
- * epoch while updates queue, and updates apply exactly when the
- * staleness bound forces them (every pooled request ineligible) or
- * when inference goes idle. Because ineligibility implies pending
- * updates (requiredSeq counts only admitted updates), the policy
- * never deadlocks; K therefore truly bounds how far any served
- * request's epoch can lag the updates admitted before it.
- *
- * Unlike the FCFS Scheduler there is no batching wait: a batch is
- * whatever is eligible when the engine frees up (continuous
- * batching) — under load batches fill from the backlog, under light
- * load requests go out alone immediately.
- *
- * Single-threaded; decisions are a pure function of the admitted
- * request timestamps, the config, and the fault plan — the replay
- * determinism contract.
- */
-class SloScheduler
-{
-  public:
-    SloScheduler(SchedulerConfig batch_cfg, SloConfig slo,
-                 const FaultPlan *faults = nullptr);
+    Scheduler(SchedulerConfig batch_cfg, SloConfig slo,
+              const FaultPlan *faults = nullptr);
 
     /** Pool an admitted request (admission control happens
      *  upstream). Updates advance the admitted-update sequence that
@@ -163,16 +132,16 @@ class SloScheduler
      */
     bool next(uint64_t busy_until_us, Decision &out);
 
-    /** Tell the scheduler an update application finished (advances
-     *  the applied sequence eligibility is measured against). Called
-     *  implicitly for batches it forms. */
+    /** Update requests applied so far: every update batch this
+     *  scheduler formed counts as applied once formed. */
     uint64_t appliedSeq() const { return applied; }
-    uint64_t admittedUpdates() const { return admittedUpd; }
 
   private:
     SchedulerConfig cfg;
-    SloConfig slo;
+    /** SLO layer off: arrival order, no drops, capped coalescing. */
+    bool fcfs;
     const FaultPlan *faults;
+    uint32_t stalenessBound;
     EdfQueue inf;
     std::deque<Request> upd;
     uint64_t admittedUpd = 0;

@@ -219,16 +219,6 @@ Server::serveUpdate(const MicroBatch &batch, bool real_time,
     report.updates.push_back(std::move(res));
 }
 
-void
-Server::processBatch(const MicroBatch &batch, bool real_time,
-                     uint64_t &busy_until_us)
-{
-    if (batch.kind == RequestKind::Inference)
-        serveInference(batch, nullptr, real_time, busy_until_us);
-    else
-        serveUpdate(batch, real_time, busy_until_us);
-}
-
 ReplayReport
 Server::runTrace(std::vector<Request> trace)
 {
@@ -244,65 +234,23 @@ Server::runTrace(std::vector<Request> trace)
     tracer.setEnabled(cfg.obs.traceEnabled);
     tracer.clear();
     batchSeq = 0;
-    return cfg.slo.enabled ? runTraceSlo(std::move(trace))
-                           : runTraceFcfs(std::move(trace));
-}
 
-ReplayReport
-Server::runTraceFcfs(std::vector<Request> trace)
-{
-    RequestQueue queue;
-    for (Request &r : trace) {
-        if (tracer.enabled())
+    const bool slo = cfg.slo.enabled;
+    if (slo) {
+        // Fault injection first: trace-shape faults (update delays,
+        // burst arrivals) are a deterministic rewrite of the trace.
+        cfg.faults.applyToTrace(trace);
+    } else if (tracer.enabled()) {
+        // FCFS admits everything: every request is enqueued at its
+        // arrival.
+        for (const Request &r : trace)
             tracer.instant(obs::kLaneRequests, "enqueue", "serve",
                            r.arrivalUs,
                            {{"req", r.id}, {"tenant", r.tenant}});
-        queue.push(std::move(r));
     }
-    queue.close();
-
-    Scheduler scheduler(queue, cfg.scheduler, /*real_time=*/false);
-    uint64_t busy = 0;
-    MicroBatch batch;
-    while (scheduler.next(busy, batch))
-        processBatch(batch, /*real_time=*/false, busy);
-    return std::move(report);
-}
-
-void
-Server::handleSloDecision(SloScheduler::Decision &d, bool real_time,
-                          uint64_t &busy_until_us)
-{
-    for (EdfQueue::Dropped &drop : d.dropped) {
-        const Rejection rej{drop.entry.req.id, drop.entry.req.tenant,
-                            drop.entry.req.kind, drop.error,
-                            d.batch.formedAtUs};
-        statsAcc.recordRejection(rej);
-        traceRejection(rej, /*dropped=*/true);
-        report.rejections.push_back(rej);
-    }
-    if (real_time)
-        waitingCount.fetch_sub(d.dropped.size() +
-                               d.batch.requests.size());
-    if (d.kind == SloScheduler::Decision::Kind::Drops)
-        return;
-
-    if (d.kind == SloScheduler::Decision::Kind::Inference)
-        serveInference(d.batch, &d.epochsBehind, real_time,
-                       busy_until_us);
-    else
-        serveUpdate(d.batch, real_time, busy_until_us);
-}
-
-ReplayReport
-Server::runTraceSlo(std::vector<Request> trace)
-{
-    // Fault injection first: trace-shape faults (update delays,
-    // burst arrivals) are a deterministic rewrite of the trace.
-    cfg.faults.applyToTrace(trace);
 
     AdmissionController admission(cfg.slo);
-    SloScheduler sched(cfg.scheduler, cfg.slo, &cfg.faults);
+    Scheduler sched(cfg.scheduler, cfg.slo, &cfg.faults);
     uint64_t busy = 0;
     size_t i = 0;
 
@@ -314,6 +262,10 @@ Server::runTraceSlo(std::vector<Request> trace)
     const auto admitOne = [&] {
         Request r = std::move(trace[i]);
         i++;
+        if (!slo) {
+            sched.admit(std::move(r));
+            return;
+        }
         const ServeError e = admission.tryAdmit(r, sched.depth());
         if (e != ServeError::None) {
             const Rejection rej{r.id, r.tenant, r.kind, e,
@@ -344,51 +296,62 @@ Server::runTraceSlo(std::vector<Request> trace)
             admitOne();
             continue;
         }
-        SloScheduler::Decision d;
+        Scheduler::Decision d;
         sched.next(busy, d);
-        handleSloDecision(d, /*real_time=*/false, busy);
+        handleDecision(d, /*real_time=*/false, busy);
     }
     return std::move(report);
 }
 
 void
-Server::realTimeLoopFcfs()
+Server::handleDecision(Scheduler::Decision &d, bool real_time,
+                       uint64_t &busy_until_us)
 {
-    Scheduler scheduler(liveQueue, cfg.scheduler,
-                        /*real_time=*/true,
-                        [this] { return nowUs(); });
-    MicroBatch batch;
-    uint64_t busy = 0;
-    while (scheduler.next(nowUs(), batch))
-        processBatch(batch, /*real_time=*/true, busy);
+    for (EdfQueue::Dropped &drop : d.dropped) {
+        const Rejection rej{drop.entry.req.id, drop.entry.req.tenant,
+                            drop.entry.req.kind, drop.error,
+                            d.batch.formedAtUs};
+        statsAcc.recordRejection(rej);
+        traceRejection(rej, /*dropped=*/true);
+        report.rejections.push_back(rej);
+    }
+    if (real_time)
+        waitingCount.fetch_sub(d.dropped.size() +
+                               d.batch.requests.size());
+    if (d.kind == Scheduler::Decision::Kind::Drops)
+        return;
+
+    // FCFS results carry no staleness, deadline or freshness.
+    if (d.kind == Scheduler::Decision::Kind::Inference)
+        serveInference(d.batch,
+                       cfg.slo.enabled ? &d.epochsBehind : nullptr,
+                       real_time, busy_until_us);
+    else
+        serveUpdate(d.batch, real_time, busy_until_us);
 }
 
 void
-Server::realTimeLoopSlo()
+Server::realTimeLoop()
 {
     // Continuous batching against the live clock: admitted requests
-    // drain from the arrival queue into the EDF pools, and every
-    // engine-free moment serves whatever is eligible. Admission
-    // already happened on the submitter threads.
-    SloScheduler sched(cfg.scheduler, cfg.slo, &cfg.faults);
+    // drain from the arrival queue into the scheduler's pools, and
+    // every engine-free moment serves whatever is eligible.
+    // Admission already happened on the submitter threads.
+    Scheduler sched(cfg.scheduler, cfg.slo, &cfg.faults);
     uint64_t busy = 0;
     Request r;
     for (;;) {
         if (sched.empty()) {
-            if (liveQueue.popHead(r) == RequestQueue::Pop::Closed)
+            if (!liveQueue.popHead(r))
                 break;
             sched.admit(std::move(r));
         }
         while (liveQueue.tryPop(r))
             sched.admit(std::move(r));
-        SloScheduler::Decision d;
+        Scheduler::Decision d;
         if (sched.next(nowUs(), d))
-            handleSloDecision(d, /*real_time=*/true, busy);
+            handleDecision(d, /*real_time=*/true, busy);
     }
-    // Queue closed: drain what is still pooled.
-    SloScheduler::Decision d;
-    while (sched.next(nowUs(), d))
-        handleSloDecision(d, /*real_time=*/true, busy);
 }
 
 void
@@ -413,12 +376,7 @@ Server::start()
     }
     // Service thread, see server.hpp.
     // igcn-lint: allow(no-thread-outside-runtime)
-    schedulerThread = std::thread([this] {
-        if (cfg.slo.enabled)
-            realTimeLoopSlo();
-        else
-            realTimeLoopFcfs();
-    });
+    schedulerThread = std::thread([this] { realTimeLoop(); });
 }
 
 ServeResult
@@ -444,8 +402,8 @@ Server::submitRequest(Request r)
         liveAdmittedTenants.push_back(r.tenant);
         liveMaxDepth = std::max(liveMaxDepth,
                                 static_cast<uint64_t>(depth + 1));
-        waitingCount.fetch_add(1);
     }
+    waitingCount.fetch_add(1);
     if (tracer.enabled())
         tracer.instant(obs::kLaneRequests,
                        cfg.slo.enabled ? "admit" : "enqueue", "serve",

@@ -1,8 +1,10 @@
 /**
  * @file
- * The online inference server: queue -> FCFS scheduler -> micro-
+ * The online inference server: admission -> scheduler -> micro-
  * batched L-hop inference engine, with updates interleaved as graph
- * epochs (see DESIGN.md section 4).
+ * epochs (see DESIGN.md section 4). With the SLO layer off the
+ * scheduler serves FCFS; with it on, admission control, EDF with
+ * drop-expired and bounded staleness apply (DESIGN.md section 5).
  *
  * Two execution modes share every component:
  *
@@ -16,10 +18,10 @@
  *    benchmarking contract.
  *
  *  - **Real-time serving** (start / submit / stop): producers submit
- *    requests stamped with the live server clock; a scheduler thread
- *    forms batches from what has arrived whenever the engine frees up
- *    and measures wall-clock latencies. Same queue, scheduler,
- *    engine, and applier.
+ *    requests stamped with the live server clock into a thread-safe
+ *    RequestQueue; a scheduler thread drains it, forms batches from
+ *    what has arrived whenever the engine frees up and measures
+ *    wall-clock latencies. Same scheduler, engine, and applier.
  */
 
 #pragma once
@@ -85,7 +87,7 @@ struct ServerConfig
     /** Receptive-field fraction above which the engine goes whole-graph. */
     double wholeGraphFraction = 0.5;
     /** SLO layer: admission control, EDF + drop-expired, bounded
-     *  staleness. Disabled by default (legacy FCFS serving). */
+     *  staleness. Disabled by default (FCFS serving). */
     SloConfig slo;
     /** Deterministic fault-injection plan (replay mode). */
     FaultPlan faults;
@@ -158,22 +160,17 @@ class Server
     uint64_t currentEpoch() const { return hub->currentEpoch(); }
 
   private:
-    // One helper per batch kind, shared by the FCFS and SLO paths.
-    // The SLO path passes its per-request staleness, which also
-    // copies each request's deadline and freshness into its result.
+    // One helper per batch kind. SLO serving passes its per-request
+    // staleness, which also copies each request's deadline and
+    // freshness into its result.
     void serveInference(const MicroBatch &batch,
                         const std::vector<uint32_t> *slo_epochs_behind,
                         bool real_time, uint64_t &busy_until_us);
     void serveUpdate(const MicroBatch &batch, bool real_time,
                      uint64_t &busy_until_us);
-    void processBatch(const MicroBatch &batch, bool real_time,
-                      uint64_t &busy_until_us);
-    ReplayReport runTraceFcfs(std::vector<Request> trace);
-    ReplayReport runTraceSlo(std::vector<Request> trace);
-    void handleSloDecision(SloScheduler::Decision &d, bool real_time,
-                           uint64_t &busy_until_us);
-    void realTimeLoopFcfs();
-    void realTimeLoopSlo();
+    void handleDecision(Scheduler::Decision &d, bool real_time,
+                        uint64_t &busy_until_us);
+    void realTimeLoop();
     [[nodiscard]] ServeResult submitRequest(Request r);
     uint64_t nowUs() const;
 

@@ -28,8 +28,8 @@
 
 namespace igcn::serve {
 
-/** SLO / robustness knobs. Default-constructed = all off (legacy
- *  FCFS serving, unbounded queue, no shedding). */
+/** SLO / robustness knobs. Default-constructed = all off (FCFS
+ *  serving, unbounded queue, no shedding). */
 struct SloConfig
 {
     /** Master switch: enables admission control, EDF ordering,

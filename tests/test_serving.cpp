@@ -672,19 +672,51 @@ req(uint64_t id, uint64_t arrival_us, RequestKind kind,
     return r;
 }
 
-std::vector<std::vector<uint64_t>>
-batchIds(RequestQueue &queue, const SchedulerConfig &cfg)
+/**
+ * Drive a Scheduler the way Server's replay loop does: admit the
+ * requests in arrival order while each arrives no later than the
+ * next dispatch time, then take one decision. Each batch keeps the
+ * engine busy for `service_us` after its dispatch; the engine starts
+ * busy until `busy_until_us`.
+ */
+std::vector<MicroBatch>
+replayBatches(const std::vector<Request> &reqs,
+              const SchedulerConfig &cfg, uint64_t service_us = 0,
+              const SloConfig &slo = {}, uint64_t busy_until_us = 0)
 {
-    Scheduler sched(queue, cfg, /*real_time=*/false);
+    Scheduler sched(cfg, slo);
+    std::vector<MicroBatch> out;
+    uint64_t busy = busy_until_us;
+    size_t i = 0;
+    while (i < reqs.size() || !sched.empty()) {
+        if (i < reqs.size() &&
+            (sched.empty() ||
+             reqs[i].arrivalUs <= sched.nextDispatchTimeUs(busy))) {
+            sched.admit(reqs[i++]);
+            continue;
+        }
+        Scheduler::Decision d;
+        sched.next(busy, d);
+        if (d.kind == Scheduler::Decision::Kind::Drops)
+            continue;
+        busy = d.batch.formedAtUs + service_us;
+        out.push_back(std::move(d.batch));
+    }
+    return out;
+}
+
+std::vector<std::vector<uint64_t>>
+batchIds(const std::vector<Request> &reqs, const SchedulerConfig &cfg,
+         const SloConfig &slo = {}, uint64_t busy_until_us = 0)
+{
     std::vector<std::vector<uint64_t>> out;
-    MicroBatch b;
-    uint64_t busy = 0;
-    while (sched.next(busy, b)) {
+    for (const MicroBatch &b :
+         replayBatches(reqs, cfg, /*service_us=*/0, slo,
+                       busy_until_us)) {
         std::vector<uint64_t> ids;
         for (const Request &r : b.requests)
             ids.push_back(r.id);
         out.push_back(std::move(ids));
-        busy = b.formedAtUs; // zero service time: dispatch = done
     }
     return out;
 }
@@ -694,18 +726,18 @@ TEST(ServingScheduler, FcfsContinuousBatchingRules)
     SchedulerConfig cfg;
     cfg.maxBatch = 8;
 
-    RequestQueue q;
     // A burst at t=0; two same-instant arrivals later; an update; a
     // trailing inference request.
-    q.push(req(0, 0, RequestKind::Inference));
-    q.push(req(1, 0, RequestKind::Inference));
-    q.push(req(2, 500, RequestKind::Inference));
-    q.push(req(3, 500, RequestKind::Inference));
-    q.push(req(4, 520, RequestKind::Update));
-    q.push(req(5, 530, RequestKind::Inference));
-    q.close();
+    const std::vector<Request> reqs = {
+        req(0, 0, RequestKind::Inference),
+        req(1, 0, RequestKind::Inference),
+        req(2, 500, RequestKind::Inference),
+        req(3, 500, RequestKind::Inference),
+        req(4, 520, RequestKind::Update),
+        req(5, 530, RequestKind::Inference),
+    };
 
-    auto batches = batchIds(q, cfg);
+    auto batches = batchIds(reqs, cfg);
     ASSERT_EQ(batches.size(), 4u);
     // Everything already arrived at the dispatch instant joins; a
     // later arrival (or the update's kind boundary) never does.
@@ -720,21 +752,16 @@ TEST(ServingScheduler, DispatchesAtEngineFreeInstantWithoutStragglerWait)
     SchedulerConfig cfg;
     cfg.maxBatch = 8;
 
-    RequestQueue q;
-    q.push(req(0, 0, RequestKind::Inference));
-    q.push(req(1, 500, RequestKind::Inference));
-    q.push(req(2, 520, RequestKind::Update));
-    q.push(req(3, 530, RequestKind::Inference));
-    q.close();
+    const std::vector<Request> reqs = {
+        req(0, 0, RequestKind::Inference),
+        req(1, 500, RequestKind::Inference),
+        req(2, 520, RequestKind::Update),
+        req(3, 530, RequestKind::Inference),
+    };
 
-    Scheduler sched(q, cfg, /*real_time=*/false);
     std::vector<uint64_t> formed;
-    MicroBatch b;
-    uint64_t busy = 0;
-    while (sched.next(busy, b)) {
+    for (const MicroBatch &b : replayBatches(reqs, cfg))
         formed.push_back(b.formedAtUs);
-        busy = b.formedAtUs;
-    }
     ASSERT_EQ(formed.size(), 4u);
     // Every batch leaves the moment engine and head are both ready —
     // the legacy rule would have charged request 0 a 100us
@@ -753,25 +780,23 @@ TEST(ServingScheduler, AdmitsBacklogAtBusyHorizon)
     SchedulerConfig cfg;
     cfg.maxBatch = 8;
 
-    RequestQueue q;
-    q.push(req(0, 0, RequestKind::Inference));
-    q.push(req(1, 20, RequestKind::Inference));  // arrives mid-service
-    q.push(req(2, 50, RequestKind::Inference));  // arrives mid-service
-    q.push(req(3, 120, RequestKind::Inference)); // arrives after free
-    q.close();
+    const std::vector<Request> reqs = {
+        req(0, 0, RequestKind::Inference),
+        req(1, 20, RequestKind::Inference),  // arrives mid-service
+        req(2, 50, RequestKind::Inference),  // arrives mid-service
+        req(3, 120, RequestKind::Inference), // arrives after free
+    };
 
-    Scheduler sched(q, cfg, /*real_time=*/false);
     std::vector<std::vector<uint64_t>> batches;
     std::vector<uint64_t> formed;
-    MicroBatch b;
-    uint64_t busy = 0;
-    while (sched.next(busy, b)) {
+    // 100us service per batch.
+    for (const MicroBatch &b :
+         replayBatches(reqs, cfg, /*service_us=*/100)) {
         std::vector<uint64_t> ids;
         for (const Request &r : b.requests)
             ids.push_back(r.id);
         batches.push_back(std::move(ids));
         formed.push_back(b.formedAtUs);
-        busy = b.formedAtUs + 100; // 100us service per batch
     }
     ASSERT_EQ(batches.size(), 3u);
     EXPECT_EQ(batches[0], (std::vector<uint64_t>{0}));
@@ -787,11 +812,10 @@ TEST(ServingScheduler, BatchCapOneYieldsSingletons)
 {
     SchedulerConfig cfg;
     cfg.maxBatch = 1;
-    RequestQueue q;
+    std::vector<Request> reqs;
     for (uint64_t i = 0; i < 5; ++i)
-        q.push(req(i, i, RequestKind::Inference));
-    q.close();
-    auto batches = batchIds(q, cfg);
+        reqs.push_back(req(i, i, RequestKind::Inference));
+    auto batches = batchIds(reqs, cfg);
     ASSERT_EQ(batches.size(), 5u);
     for (uint64_t i = 0; i < 5; ++i)
         EXPECT_EQ(batches[i], std::vector<uint64_t>{i});
@@ -802,16 +826,41 @@ TEST(ServingScheduler, ConsecutiveUpdatesCoalesce)
     SchedulerConfig cfg;
     cfg.maxBatch = 8;
     cfg.maxUpdateCoalesce = 2;
-    RequestQueue q;
-    q.push(req(0, 0, RequestKind::Update));
-    q.push(req(1, 0, RequestKind::Update));
-    q.push(req(2, 0, RequestKind::Update));
-    q.close();
-    auto batches = batchIds(q, cfg);
+    const std::vector<Request> reqs = {
+        req(0, 0, RequestKind::Update),
+        req(1, 0, RequestKind::Update),
+        req(2, 0, RequestKind::Update),
+    };
+    auto batches = batchIds(reqs, cfg);
     // Cap 2: first application coalesces {0, 1}, then {2}.
     ASSERT_EQ(batches.size(), 2u);
     EXPECT_EQ(batches[0], (std::vector<uint64_t>{0, 1}));
     EXPECT_EQ(batches[1], (std::vector<uint64_t>{2}));
+}
+
+TEST(ServingScheduler, FcfsUpdateCoalescingStopsAtInferenceArrival)
+{
+    // U1@0, I1@1, U2@2 with the engine busy until 10: all three are
+    // pooled at the first dispatch. FCFS must apply exactly the
+    // updates that arrived before I1, so it coalesces only {U1},
+    // serves I1, then applies {U2}. SLO serving with a Strict I1
+    // instead folds both updates into one application and serves I1
+    // after U2.
+    SchedulerConfig cfg;
+    std::vector<Request> reqs = {
+        req(0, 0, RequestKind::Update),
+        req(1, 1, RequestKind::Inference),
+        req(2, 2, RequestKind::Update),
+    };
+    reqs[1].freshness = Freshness::Strict;
+
+    EXPECT_EQ(batchIds(reqs, cfg, SloConfig{}, /*busy_until_us=*/10),
+              (std::vector<std::vector<uint64_t>>{{0}, {1}, {2}}));
+
+    SloConfig strict;
+    strict.enabled = true;
+    EXPECT_EQ(batchIds(reqs, cfg, strict, /*busy_until_us=*/10),
+              (std::vector<std::vector<uint64_t>>{{0, 2}, {1}}));
 }
 
 /**
@@ -870,19 +919,11 @@ std::vector<ModelBatch>
 newRuleBatches(const std::vector<Request> &reqs,
                const SchedulerConfig &cfg)
 {
-    RequestQueue q;
-    for (const Request &r : reqs)
-        q.push(r);
-    q.close();
-    Scheduler sched(q, cfg, /*real_time=*/false);
     std::vector<ModelBatch> out;
-    MicroBatch b;
-    uint64_t busy = 0;
-    while (sched.next(busy, b)) {
+    for (const MicroBatch &b : replayBatches(reqs, cfg)) {
         ModelBatch m{b.kind, {}, b.formedAtUs};
         for (const Request &r : b.requests)
             m.ids.push_back(r.id);
-        busy = b.formedAtUs;
         out.push_back(std::move(m));
     }
     return out;

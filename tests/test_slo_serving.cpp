@@ -192,7 +192,7 @@ TEST(SloEdfQueue, DropExpiredClassifiesExpiredVsShedStale)
     auto dropped = q.dropExpired(/*now=*/150, /*applied=*/0,
                                  /*staleness=*/0);
     ASSERT_EQ(dropped.size(), 2u);
-    // Map order: deadline-100 entries first (arrival then id).
+    // Map order: deadline-100 entries first (arrival, then admission order).
     EXPECT_EQ(dropped[0].entry.req.id, 0u);
     EXPECT_EQ(dropped[0].error, ServeError::Expired);
     EXPECT_EQ(dropped[1].entry.req.id, 1u);
@@ -214,7 +214,7 @@ TEST(SloScheduler, BoundedStalenessServesStaleStrictWaits)
     SloConfig slo;
     slo.enabled = true;
     slo.stalenessBound = 2;
-    SloScheduler sched(bc, slo);
+    Scheduler sched(bc, slo);
 
     sched.admit(upd(0, 10));
     sched.admit(inf(1, 20));                          // 1 update behind
@@ -222,9 +222,9 @@ TEST(SloScheduler, BoundedStalenessServesStaleStrictWaits)
 
     // Bounded request 1 is eligible (1 <= K=2): served first, one
     // epoch behind. Strict request 2 is not in the batch.
-    SloScheduler::Decision d;
+    Scheduler::Decision d;
     ASSERT_TRUE(sched.next(0, d));
-    ASSERT_EQ(d.kind, SloScheduler::Decision::Kind::Inference);
+    ASSERT_EQ(d.kind, Scheduler::Decision::Kind::Inference);
     ASSERT_EQ(d.batch.requests.size(), 1u);
     EXPECT_EQ(d.batch.requests[0].id, 1u);
     EXPECT_EQ(d.epochsBehind, (std::vector<uint32_t>{1}));
@@ -233,12 +233,12 @@ TEST(SloScheduler, BoundedStalenessServesStaleStrictWaits)
     // forced (it can never deadlock: ineligibility implies pending
     // updates).
     ASSERT_TRUE(sched.next(0, d));
-    ASSERT_EQ(d.kind, SloScheduler::Decision::Kind::Update);
+    ASSERT_EQ(d.kind, Scheduler::Decision::Kind::Update);
     EXPECT_EQ(sched.appliedSeq(), 1u);
 
     // Now the strict request is fully fresh.
     ASSERT_TRUE(sched.next(0, d));
-    ASSERT_EQ(d.kind, SloScheduler::Decision::Kind::Inference);
+    ASSERT_EQ(d.kind, Scheduler::Decision::Kind::Inference);
     ASSERT_EQ(d.batch.requests.size(), 1u);
     EXPECT_EQ(d.batch.requests[0].id, 2u);
     EXPECT_EQ(d.epochsBehind, (std::vector<uint32_t>{0}));
@@ -251,7 +251,7 @@ TEST(SloScheduler, StalenessBoundForcesUpdatesWhenExceeded)
     SloConfig slo;
     slo.enabled = true;
     slo.stalenessBound = 2;
-    SloScheduler sched(bc, slo);
+    Scheduler sched(bc, slo);
 
     // Three updates pending: a bounded request admitted after them is
     // 3 > K=2 behind -> ineligible, so updates apply first.
@@ -259,12 +259,12 @@ TEST(SloScheduler, StalenessBoundForcesUpdatesWhenExceeded)
         sched.admit(upd(i, i));
     sched.admit(inf(3, 10));
 
-    SloScheduler::Decision d;
+    Scheduler::Decision d;
     ASSERT_TRUE(sched.next(0, d));
-    ASSERT_EQ(d.kind, SloScheduler::Decision::Kind::Update);
+    ASSERT_EQ(d.kind, Scheduler::Decision::Kind::Update);
     EXPECT_EQ(d.batch.requests.size(), 3u); // coalesced
     ASSERT_TRUE(sched.next(0, d));
-    ASSERT_EQ(d.kind, SloScheduler::Decision::Kind::Inference);
+    ASSERT_EQ(d.kind, Scheduler::Decision::Kind::Inference);
     EXPECT_EQ(d.epochsBehind, (std::vector<uint32_t>{0}));
 }
 
