@@ -105,28 +105,6 @@ BENCHMARK(BM_SpmmPushOuterProduct)
     ->ArgsProduct({{16}, {1, 2, 4}});
 
 void
-BM_CsrTransposeTimesDense(benchmark::State &state)
-{
-    RssScope rss(state);
-    setGlobalThreads(static_cast<int>(state.range(1)));
-    CsrMatrix a = CsrMatrix::fromGraph(benchGraph());
-    Rng rng(1);
-    DenseMatrix b(benchGraph().numNodes(),
-                  static_cast<size_t>(state.range(0)));
-    b.fillRandom(rng);
-    (void)a.csc(); // steady state: the adjunct is built once
-    for (auto _ : state) {
-        DenseMatrix c = csrTransposeTimesDense(a, b);
-        benchmark::DoNotOptimize(c.data().data());
-    }
-    state.SetItemsProcessed(state.iterations() * a.nnz() *
-                            state.range(0));
-    setGlobalThreads(0);
-}
-BENCHMARK(BM_CsrTransposeTimesDense)
-    ->ArgsProduct({{16}, {1, 2, 4}});
-
-void
 BM_CscAdjunctBuild(benchmark::State &state)
 {
     // Cost of the one-time CSC construction the cache amortizes away
@@ -157,7 +135,7 @@ BM_CsrGather(benchmark::State &state)
     for (NodeId &r : rows)
         r = static_cast<NodeId>(rng.nextBounded(20000));
     for (auto _ : state) {
-        CsrFeatures sub = csrGather(x.csr, rows);
+        CsrMatrix sub = csrGather(x.csr, rows);
         benchmark::DoNotOptimize(sub.values.data());
     }
     state.SetItemsProcessed(state.iterations() *

@@ -217,13 +217,8 @@ gcnForwardViaIslands(const CsrGraph &g, const IslandizationResult &isl,
     std::vector<float> s = degreeScaling(g);
     DenseMatrix current;
     for (size_t l = 0; l < weights.size(); ++l) {
-        DenseMatrix xw;
-        if (l == 0) {
-            xw = x.sparse ? sparseTimesDense(x.csr, weights[l])
-                          : gemm(x.dense, weights[l]);
-        } else {
-            xw = gemm(current, weights[l]);
-        }
+        DenseMatrix xw = (l == 0) ? combineFeatures(x, weights[l])
+                                  : gemm(current, weights[l]);
         scaleRows(xw, s);
         current = aggregateViaIslands(g, isl, xw, cfg, stats);
         scaleRows(current, s);

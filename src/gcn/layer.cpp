@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "gcn/reference.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace igcn {
@@ -75,15 +76,6 @@ refreshNormalizedAdjacency(CsrMatrix &m, const CsrGraph &g,
     m.invalidateCsc();
 }
 
-namespace {
-
-/**
- * Shared layer chain past the first combination: aggregate xw0 over
- * a_hat, then gemm/aggregate/ReLU through the remaining layers. Both
- * subgraphForward overloads funnel here, so the dense and sparse
- * entry points run the identical operation sequence after layer 0's
- * X W product.
- */
 DenseMatrix
 forwardChain(const CsrMatrix &a_hat, DenseMatrix xw0,
              const std::vector<DenseMatrix> &weights)
@@ -97,28 +89,15 @@ forwardChain(const CsrMatrix &a_hat, DenseMatrix xw0,
     return current;
 }
 
-} // namespace
-
 DenseMatrix
 subgraphForward(const CsrGraph &sub, const std::vector<float> &scale,
-                const DenseMatrix &x,
+                const Features &x,
                 const std::vector<DenseMatrix> &weights)
 {
     if (weights.empty())
         throw std::invalid_argument("no layers");
     CsrMatrix a_hat = normalizedAdjacencyScaled(sub, scale);
-    return forwardChain(a_hat, gemm(x, weights[0]), weights);
-}
-
-DenseMatrix
-subgraphForward(const CsrGraph &sub, const std::vector<float> &scale,
-                const CsrFeatures &x,
-                const std::vector<DenseMatrix> &weights)
-{
-    if (weights.empty())
-        throw std::invalid_argument("no layers");
-    CsrMatrix a_hat = normalizedAdjacencyScaled(sub, scale);
-    return forwardChain(a_hat, sparseTimesDense(x, weights[0]), weights);
+    return forwardChain(a_hat, combineFeatures(x, weights[0]), weights);
 }
 
 CsrMatrix

@@ -19,6 +19,8 @@
 
 namespace igcn {
 
+struct Features; // gcn/reference.hpp
+
 /** S = diag(1/sqrt(degree + 1)), the symmetric-normalization scaler. */
 std::vector<float> degreeScaling(const CsrGraph &g);
 
@@ -43,41 +45,41 @@ CsrMatrix normalizedAdjacencyScaled(const CsrGraph &g,
 
 /**
  * Rebuild a_hat from (g, s) in place, reusing its storage across
- * epochs and dropping its cached CSC adjunct (mutating the non-zero
+ * epochs and dropping its cached CSC adjunct (mutating the entry
  * arrays of a CsrMatrix requires invalidateCsc; this is the one
- * mutation path the online update applier uses).
+ * mutation path the online update applier uses). Each row's columns
+ * stay strictly ascending: the self loop goes in at its sorted
+ * position, merged with an explicit (u, u) edge when g has one.
  */
 void refreshNormalizedAdjacency(CsrMatrix &a_hat, const CsrGraph &g,
                                 const std::vector<float> &s);
+
+/**
+ * The layer chain past layer 0's combination, shared by every
+ * A_hat-explicit forward pass that serves logits: aggregate xw0 over
+ * a_hat, then ReLU/gemm/aggregate through the remaining layers (no
+ * activation after the last). The same operation sequence as
+ * referenceForward's loop, so on the same a_hat and xw0 the result is
+ * bit-identical to it.
+ */
+DenseMatrix forwardChain(const CsrMatrix &a_hat, DenseMatrix xw0,
+                         const std::vector<DenseMatrix> &weights);
 
 /**
  * Batched-subgraph forward entry point: the referenceForward layer
  * chain (A_hat X W with combination-first order and inter-layer
  * ReLU) over an extracted L-hop subgraph. `scale` and `x` are the
  * full-graph degree scaling and input features gathered to the
- * subgraph's local ids. Kernels, loop orders, and per-row
- * accumulation order are identical to the whole-graph pass, so rows
- * of nodes whose L-hop neighborhood is inside the subgraph — in
- * particular every extraction target — are bit-identical to
- * referenceForward on the whole graph.
+ * subgraph's local ids (gatherRows). Kernels, loop orders, and
+ * per-row accumulation order are identical to the whole-graph pass,
+ * so rows of nodes whose L-hop neighborhood is inside the subgraph —
+ * in particular every extraction target — are bit-identical to
+ * referenceForward on the whole graph. Layer 0 runs combineFeatures,
+ * so dense and CSR storage of the same x give byte-equal output.
  */
 DenseMatrix subgraphForward(const CsrGraph &sub,
                             const std::vector<float> &scale,
-                            const DenseMatrix &x,
-                            const std::vector<DenseMatrix> &weights);
-
-/**
- * Sparse-input overload: the first layer consumes CSR features
- * directly (sparseTimesDense — no densification). sparseTimesDense
- * accumulates each output element's stored entries in ascending
- * column order, the same order gemm accumulates its non-zero a(i,k)
- * terms, so on features whose dense image is x this overload is
- * bit-identical to the dense subgraphForward; layers past the first
- * share the exact dense chain.
- */
-DenseMatrix subgraphForward(const CsrGraph &sub,
-                            const std::vector<float> &scale,
-                            const CsrFeatures &x,
+                            const Features &x,
                             const std::vector<DenseMatrix> &weights);
 
 /** Binary adjacency with self loops, A + I (factored path). */

@@ -21,6 +21,29 @@ Features::storageBytes() const
     return dense.rows() * dense.cols() * sizeof(float);
 }
 
+DenseMatrix
+combineFeatures(const Features &x, const DenseMatrix &w)
+{
+    if (x.sparse)
+        return sparseTimesDense(x.csr, w);
+    return gemm(x.dense, w);
+}
+
+Features
+gatherRows(const Features &x, std::span<const NodeId> rows)
+{
+    Features out;
+    out.sparse = x.sparse;
+    if (x.sparse) {
+        out.csr = csrGather(x.csr, rows);
+        return out;
+    }
+    out.dense = DenseMatrix(rows.size(), x.cols());
+    for (size_t i = 0; i < rows.size(); ++i)
+        std::copy_n(x.dense.row(rows[i]), x.cols(), out.dense.row(i));
+    return out;
+}
+
 Features
 makeFeatures(NodeId num_nodes, int num_features, double density, Rng &rng,
              bool force_sparse)
@@ -39,7 +62,7 @@ makeFeatures(NodeId num_nodes, int num_features, double density, Rng &rng,
             f.dense.fillRandomSparse(rng, density, 1.0f);
         return f;
     }
-    CsrFeatures &m = f.csr;
+    CsrMatrix &m = f.csr;
     m.numRows = num_nodes;
     m.numCols = static_cast<NodeId>(num_features);
     // `f` was default-constructed above, so the CSC cache behind this
@@ -87,18 +110,6 @@ makeWeights(const ModelConfig &cfg, Rng &rng)
     return weights;
 }
 
-namespace {
-
-DenseMatrix
-combination(const Features &x, const DenseMatrix &w)
-{
-    if (x.sparse)
-        return sparseTimesDense(x.csr, w);
-    return gemm(x.dense, w);
-}
-
-} // namespace
-
 DenseMatrix
 referenceForward(const CsrGraph &g, const Features &x,
                  const std::vector<DenseMatrix> &weights)
@@ -109,7 +120,7 @@ referenceForward(const CsrGraph &g, const Features &x,
     DenseMatrix current;
     for (size_t l = 0; l < weights.size(); ++l) {
         DenseMatrix xw = (l == 0)
-            ? combination(x, weights[l])
+            ? combineFeatures(x, weights[l])
             : gemm(current, weights[l]);
         current = spmmPullRowWise(a_hat, xw);
         if (l + 1 < weights.size())
@@ -129,7 +140,7 @@ factoredForward(const CsrGraph &g, const Features &x,
     DenseMatrix current;
     for (size_t l = 0; l < weights.size(); ++l) {
         DenseMatrix xw = (l == 0)
-            ? combination(x, weights[l])
+            ? combineFeatures(x, weights[l])
             : gemm(current, weights[l]);
         scaleRows(xw, s);
         current = spmmPullRowWise(a_bin, xw);

@@ -10,6 +10,8 @@
 
 #pragma once
 
+#include <span>
+
 #include "gcn/layer.hpp"
 #include "gcn/models.hpp"
 #include "graph/rng.hpp"
@@ -17,12 +19,16 @@
 
 namespace igcn {
 
-/** Input features: dense or CSR (NELL's X is far too sparse for dense). */
+/**
+ * Input features: dense or CSR (NELL's X is far too sparse for
+ * dense). Only combineFeatures and gatherRows look at the storage
+ * choice; the layers past X * W0 see dense activations either way.
+ */
 struct Features
 {
     bool sparse = false;
     DenseMatrix dense;
-    CsrFeatures csr;
+    CsrMatrix csr;
 
     size_t rows() const { return sparse ? csr.numRows : dense.rows(); }
     size_t cols() const { return sparse ? csr.numCols : dense.cols(); }
@@ -31,6 +37,23 @@ struct Features
     /** Heap bytes of the active representation. */
     size_t storageBytes() const;
 };
+
+/**
+ * The layer-0 combination X * W for either storage of X: gemm on
+ * dense, sparseTimesDense on CSR. Both accumulate each output
+ * element's non-zero terms in ascending column order, so the two
+ * storages of the same logical X give byte-equal products at any
+ * IGCN_THREADS.
+ */
+DenseMatrix combineFeatures(const Features &x, const DenseMatrix &w);
+
+/**
+ * Rows `rows` of x (duplicates allowed, any order) in x's storage:
+ * a dense row copy, or csrGather, which moves O(gathered nnz) and
+ * never densifies.
+ * @throws std::out_of_range on a CSR row id >= x.rows().
+ */
+Features gatherRows(const Features &x, std::span<const NodeId> rows);
 
 /** Deterministic random features with a given density. */
 Features makeFeatures(NodeId num_nodes, int num_features, double density,

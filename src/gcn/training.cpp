@@ -93,10 +93,8 @@ trainingForward(const CsrGraph &g, const IslandizationResult &isl,
     DenseMatrix current;
     for (size_t l = 0; l < weights.size(); ++l) {
         cache.layerInputs.push_back(l == 0 ? DenseMatrix{} : current);
-        DenseMatrix u = (l == 0)
-            ? (x.sparse ? sparseTimesDense(x.csr, weights[l])
-                        : gemm(x.dense, weights[l]))
-            : gemm(current, weights[l]);
+        DenseMatrix u = (l == 0) ? combineFeatures(x, weights[l])
+                                 : gemm(current, weights[l]);
         scaleRows(u, s);
         DenseMatrix z = aggregateViaIslands(g, isl, u, cfg);
         scaleRows(z, s);

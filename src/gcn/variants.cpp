@@ -6,14 +6,6 @@ namespace igcn {
 
 namespace {
 
-DenseMatrix
-combination(const Features &x, const DenseMatrix &w)
-{
-    if (x.sparse)
-        return sparseTimesDense(x.csr, w);
-    return gemm(x.dense, w);
-}
-
 /** Row scale by 1 / (degree + 1): GraphSage mean normalization. */
 std::vector<float>
 meanScaling(const CsrGraph &g)
@@ -78,7 +70,7 @@ variantForward(const CsrGraph &g, const Features &x,
 
     DenseMatrix current;
     for (size_t l = 0; l < weights.size(); ++l) {
-        DenseMatrix xw = (l == 0) ? combination(x, weights[l])
+        DenseMatrix xw = (l == 0) ? combineFeatures(x, weights[l])
                                   : gemm(current, weights[l]);
         current = aggregateVariant(
             g, opt, std::move(xw),
@@ -105,7 +97,7 @@ variantForwardViaIslands(const CsrGraph &g,
         throw std::invalid_argument("no layers");
     DenseMatrix current;
     for (size_t l = 0; l < weights.size(); ++l) {
-        DenseMatrix xw = (l == 0) ? combination(x, weights[l])
+        DenseMatrix xw = (l == 0) ? combineFeatures(x, weights[l])
                                   : gemm(current, weights[l]);
         current = aggregateVariant(
             g, opt, std::move(xw),

@@ -125,7 +125,9 @@ class LazyAdjunct
  * carried to the transposed slot. An empty row_ptr (moved-from
  * container) is treated as zero rows, yielding an empty but
  * well-formed index. Shared by CsrGraph::inEdges() and
- * CsrMatrix::csc() so there is exactly one build loop to maintain.
+ * CsrMatrix::csc() — the one CSC adjunct of the float CSR type, for
+ * adjacency and feature matrices alike — so there is exactly one
+ * build loop to maintain.
  */
 void transposeCsrIndex(NodeId num_cols,
                        const std::vector<EdgeId> &row_ptr,

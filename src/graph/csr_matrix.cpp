@@ -1,12 +1,12 @@
-#include "graph/csr_features.hpp"
+#include "graph/csr_matrix.hpp"
 
 #include <stdexcept>
 #include <string>
 
 namespace igcn {
 
-CsrFeatures
-CsrFeatures::fromArrays(NodeId num_rows,
+CsrMatrix
+CsrMatrix::fromArrays(NodeId num_rows,
                         NodeId num_cols,
                         std::vector<EdgeId> row_ptr,
                         std::vector<NodeId> col_idx,
@@ -14,42 +14,42 @@ CsrFeatures::fromArrays(NodeId num_rows,
 {
     if (row_ptr.size() != static_cast<size_t>(num_rows) + 1)
         throw std::invalid_argument(
-            "CsrFeatures::fromArrays: row_ptr size " +
+            "CsrMatrix::fromArrays: row_ptr size " +
             std::to_string(row_ptr.size()) + " != num_rows + 1 = " +
             std::to_string(static_cast<size_t>(num_rows) + 1));
     if (row_ptr.front() != 0)
         throw std::invalid_argument(
-            "CsrFeatures::fromArrays: row_ptr[0] != 0");
+            "CsrMatrix::fromArrays: row_ptr[0] != 0");
     if (row_ptr.back() != col_idx.size())
         throw std::invalid_argument(
-            "CsrFeatures::fromArrays: row_ptr back " +
+            "CsrMatrix::fromArrays: row_ptr back " +
             std::to_string(row_ptr.back()) + " != entry count " +
             std::to_string(col_idx.size()));
     if (vals.size() != col_idx.size())
         throw std::invalid_argument(
-            "CsrFeatures::fromArrays: values size " +
+            "CsrMatrix::fromArrays: values size " +
             std::to_string(vals.size()) + " != col_idx size " +
             std::to_string(col_idx.size()));
     for (NodeId r = 0; r < num_rows; ++r) {
         if (row_ptr[r] > row_ptr[r + 1])
             throw std::invalid_argument(
-                "CsrFeatures::fromArrays: row_ptr not monotone at row " +
+                "CsrMatrix::fromArrays: row_ptr not monotone at row " +
                 std::to_string(r));
         for (EdgeId e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
             if (col_idx[e] >= num_cols)
                 throw std::invalid_argument(
-                    "CsrFeatures::fromArrays: column " +
+                    "CsrMatrix::fromArrays: column " +
                     std::to_string(col_idx[e]) + " out of range in row " +
                     std::to_string(r));
             if (e > row_ptr[r] && col_idx[e - 1] >= col_idx[e])
                 throw std::invalid_argument(
-                    "CsrFeatures::fromArrays: columns not strictly "
+                    "CsrMatrix::fromArrays: columns not strictly "
                     "ascending in row " +
                     std::to_string(r));
         }
     }
 
-    CsrFeatures f;
+    CsrMatrix f;
     f.numRows = num_rows;
     f.numCols = num_cols;
     f.rowPtr = std::move(row_ptr);
@@ -58,8 +58,20 @@ CsrFeatures::fromArrays(NodeId num_rows,
     return f;
 }
 
+CsrMatrix
+CsrMatrix::fromGraph(const CsrGraph &g)
+{
+    CsrMatrix m;
+    m.numRows = g.numNodes();
+    m.numCols = g.numNodes();
+    m.rowPtr = g.rows();
+    m.colIdx = g.cols();
+    m.values.assign(m.colIdx.size(), 1.0f);
+    return m;
+}
+
 double
-CsrFeatures::density() const
+CsrMatrix::density() const
 {
     const double cells =
         static_cast<double>(numRows) * static_cast<double>(numCols);
@@ -67,21 +79,21 @@ CsrFeatures::density() const
 }
 
 size_t
-CsrFeatures::storageBytes() const
+CsrMatrix::storageBytes() const
 {
     return rowPtr.size() * sizeof(EdgeId) +
            colIdx.size() * sizeof(NodeId) +
            values.size() * sizeof(float);
 }
 
-const CsrFeatures::CscView &
-CsrFeatures::csc() const
+const CscIndex &
+CsrMatrix::csc() const
 {
     return cscCache.get([this] {
-        CscView v;
-        transposeCsrIndex(numCols, rowPtr, colIdx, v.colPtr, v.rowOf,
-                          &values, &v.valOf);
-        return v;
+        CscIndex idx;
+        transposeCsrIndex(numCols, rowPtr, colIdx, idx.colPtr,
+                          idx.rowOf, &values, &idx.valOf);
+        return idx;
     });
 }
 

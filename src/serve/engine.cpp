@@ -120,7 +120,10 @@ InferenceEngine::runBatch(std::span<const Request> batch,
     local_info.uniqueTargets = static_cast<uint32_t>(uniq.size());
 
     const int hops = numLayers();
-    DenseMatrix out_rows; // row i = output of target i (request order)
+    // h holds the last layer's output; row_of[i] is the row of h
+    // that answers request i.
+    DenseMatrix h;
+    std::vector<NodeId> row_of = std::move(targets);
     // The node set alone decides the path; the sub-CSR is only built
     // when the subgraph path is actually taken.
     std::vector<NodeId> field = lHopNodeSet(g, uniq, hops);
@@ -130,25 +133,8 @@ InferenceEngine::runBatch(std::span<const Request> batch,
         // whole-graph A_hat is cheaper than building a sub-CSR of
         // nearly the same size.
         local_info.wholeGraph = true;
-        DenseMatrix current;
-        for (size_t l = 0; l < weights.size(); ++l) {
-            // Layer 0 consumes X in whichever form it is stored;
-            // sparseTimesDense matches gemm bit-for-bit on the same
-            // logical matrix, so both forms serve identical logits.
-            DenseMatrix xw =
-                (l == 0) ? (features.sparse
-                                ? sparseTimesDense(features.csr,
-                                                   weights[l])
-                                : gemm(features.dense, weights[l]))
-                         : gemm(current, weights[l]);
-            current = spmmPullRowWise(state->normAdj, xw);
-            if (l + 1 < weights.size())
-                reluInPlace(current);
-        }
-        out_rows = DenseMatrix(targets.size(), numClasses());
-        for (size_t i = 0; i < targets.size(); ++i)
-            std::copy_n(current.row(targets[i]), numClasses(),
-                        out_rows.row(i));
+        h = forwardChain(state->normAdj,
+                         combineFeatures(features, weights[0]), weights);
     } else {
         LHopSubgraph ext = inducedSubgraph(g, std::move(field), uniq);
         local_info.subNodes =
@@ -157,32 +143,16 @@ InferenceEngine::runBatch(std::span<const Request> batch,
         std::vector<float> scale_local(ext.nodes.size());
         for (size_t l = 0; l < ext.nodes.size(); ++l)
             scale_local[l] = state->scale[ext.nodes[l]];
-        DenseMatrix sub_out;
-        if (features.sparse) {
-            // Gather the receptive field's feature rows in CSR form:
-            // O(field nnz) moved, never the dense rows * cols image.
-            CsrFeatures x_local = csrGather(features.csr, ext.nodes);
-            sub_out =
-                subgraphForward(ext.sub, scale_local, x_local, weights);
-        } else {
-            DenseMatrix x_local(ext.nodes.size(), features.cols());
-            for (size_t l = 0; l < ext.nodes.size(); ++l)
-                std::copy_n(features.dense.row(ext.nodes[l]),
-                            features.cols(), x_local.row(l));
-            sub_out =
-                subgraphForward(ext.sub, scale_local, x_local, weights);
-        }
-        // Map each request target to its local row. ext.nodes is
-        // ascending, so a binary search suffices.
-        out_rows = DenseMatrix(targets.size(), numClasses());
-        for (size_t i = 0; i < targets.size(); ++i) {
-            const auto local = static_cast<size_t>(
-                std::lower_bound(ext.nodes.begin(), ext.nodes.end(),
-                                 targets[i]) -
+        // In X's own storage: a CSR X moves O(field nnz), never the
+        // dense rows * cols image.
+        h = subgraphForward(ext.sub, scale_local,
+                            gatherRows(features, ext.nodes), weights);
+        // ext.nodes is ascending, so a target's local row is found by
+        // binary search.
+        for (NodeId &r : row_of)
+            r = static_cast<NodeId>(
+                std::lower_bound(ext.nodes.begin(), ext.nodes.end(), r) -
                 ext.nodes.begin());
-            std::copy_n(sub_out.row(local), numClasses(),
-                        out_rows.row(i));
-        }
     }
 
     std::vector<InferenceResult> results;
@@ -195,8 +165,8 @@ InferenceEngine::runBatch(std::span<const Request> batch,
         res.epoch = state->epoch;
         res.arrivalUs = batch[i].arrivalUs;
         res.batchSize = static_cast<uint32_t>(batch.size());
-        res.logits.assign(out_rows.row(i),
-                          out_rows.row(i) + numClasses());
+        res.logits.assign(h.row(row_of[i]),
+                          h.row(row_of[i]) + numClasses());
         results.push_back(std::move(res));
     }
     if (info)

@@ -90,13 +90,12 @@ struct BatchExecInfo
  * would touch nearly every node either way, and the cached A_hat
  * skips the sub-CSR rebuild and row gathers.
  *
- * Features may be dense or CSR (Features::sparse). On the sparse
- * side the engine never densifies X: the subgraph path gathers the
- * receptive field's rows with csrGather and feeds the sparse
- * subgraphForward overload, and the whole-graph path runs
- * sparseTimesDense for layer 0 — both bit-identical to the dense
- * engine on a densified copy of the same features, at any
- * IGCN_THREADS (see sparseTimesDense).
+ * Features may be dense or CSR (Features::sparse), and the engine
+ * never densifies X. The subgraph path gathers the receptive field's
+ * rows in X's own storage (gatherRows) and runs subgraphForward; the
+ * whole-graph path runs the same forwardChain over the epoch's A_hat.
+ * Both compute layer 0 with combineFeatures, so dense and CSR storage
+ * of the same features serve byte-equal logits at any IGCN_THREADS.
  *
  * runBatch is const and thread-safe: concurrent batches and a
  * concurrent update writer interact only through the hub.

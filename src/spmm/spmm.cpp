@@ -8,39 +8,6 @@
 
 namespace igcn {
 
-CsrMatrix
-CsrMatrix::fromGraph(const CsrGraph &g)
-{
-    CsrMatrix m;
-    m.numRows = g.numNodes();
-    m.numCols = g.numNodes();
-    m.rowPtr = g.rows();
-    m.colIdx = g.cols();
-    m.values.assign(m.colIdx.size(), 1.0f);
-    return m;
-}
-
-DenseMatrix
-CsrMatrix::toDense() const
-{
-    DenseMatrix d(numRows, numCols);
-    for (NodeId r = 0; r < numRows; ++r)
-        for (EdgeId e = rowPtr[r]; e < rowPtr[r + 1]; ++e)
-            d.at(r, colIdx[e]) += values[e];
-    return d;
-}
-
-const CscIndex &
-CsrMatrix::csc() const
-{
-    return cscCache.get([this] {
-        CscIndex idx;
-        transposeCsrIndex(numCols, rowPtr, colIdx, idx.colPtr,
-                          idx.rowOf, &values, &idx.valOf);
-        return idx;
-    });
-}
-
 namespace {
 
 void
@@ -59,7 +26,8 @@ checkShapes(const CsrMatrix &a, const DenseMatrix &b)
  * irregularly-fetched B row contributes one kChannelTile-float slice
  * per pass. Per output element the entries accumulate in index order
  * regardless of the split or tiling, so the result is bit-identical
- * at any thread count.
+ * at any thread count. The pool region runs under the caller's
+ * KernelRegion label.
  */
 void
 gatherTiled(const std::vector<EdgeId> &ptr,
@@ -69,10 +37,6 @@ gatherTiled(const std::vector<EdgeId> &ptr,
 {
     const size_t channels = b.cols();
     constexpr size_t kChannelTile = 64;
-    // Attribute the region to the calling dataflow's label when one
-    // is active; only bare gather calls show up as "gather_tiled".
-    KernelRegion region(currentKernelLabel() ? currentKernelLabel()
-                                             : "gather_tiled");
     globalPool().parallelFor(0, c.rows(),
                              [&](int, size_t r0, size_t r1) {
         for (size_t ch0 = 0; ch0 < channels; ch0 += kChannelTile) {
@@ -90,16 +54,17 @@ gatherTiled(const std::vector<EdgeId> &ptr,
     }, /*min_per_worker=*/16);
 }
 
-} // namespace
-
+/**
+ * PULL-Row-Wise body shared by spmmPullRowWise and sparseTimesDense;
+ * `label` names the KernelRegion the gather runs under.
+ */
 DenseMatrix
-spmmPullRowWise(const CsrMatrix &a, const DenseMatrix &b,
-                SpmmCounters *counters)
+pullRowWise(const CsrMatrix &a, const DenseMatrix &b,
+            SpmmCounters *counters, const char *label)
 {
-    checkShapes(a, b);
     const size_t channels = b.cols();
     DenseMatrix c(a.numRows, channels);
-    KernelRegion region("spmm_pull_row_wise");
+    KernelRegion region(label);
 
     // Rows of C are independent: shard the row range across workers
     // (gatherTiled), channel-tiled so far more distinct B rows stay
@@ -122,6 +87,16 @@ spmmPullRowWise(const CsrMatrix &a, const DenseMatrix &b,
         *counters += cnt;
     }
     return c;
+}
+
+} // namespace
+
+DenseMatrix
+spmmPullRowWise(const CsrMatrix &a, const DenseMatrix &b,
+                SpmmCounters *counters)
+{
+    checkShapes(a, b);
+    return pullRowWise(a, b, counters, "spmm_pull_row_wise");
 }
 
 DenseMatrix
@@ -245,37 +220,8 @@ spmmPushOuterProduct(const CsrMatrix &a, const DenseMatrix &b,
     return c;
 }
 
-DenseMatrix
-csrTimesDense(const CsrMatrix &x, const DenseMatrix &w,
-              SpmmCounters *counters)
-{
-    return spmmPullRowWise(x, w, counters);
-}
-
-DenseMatrix
-csrTransposeTimesDense(const CsrMatrix &x, const DenseMatrix &b)
-{
-    if (x.numRows != b.rows())
-        throw std::invalid_argument(
-            "shape mismatch in csrTransposeTimesDense");
-
-    // C(j, :) = sum over non-zeros X(r, j) of X(r, j) * B(r, :): a
-    // scatter in row order, but a race-free gather over the cached
-    // CSC adjunct — column j of X lists exactly the non-zeros of
-    // output row j, in ascending r order (the sequential scatter's
-    // order), so workers own disjoint output rows and the result is
-    // bit-identical to the sequential scatter at any thread count.
-    // The adjunct is built once per matrix and reused across calls
-    // (every training epoch hits this kernel with the same features).
-    const CscIndex &csc = x.csc();
-    DenseMatrix c(x.numCols, b.cols());
-    KernelRegion region("csr_transpose_times_dense");
-    gatherTiled(csc.colPtr, csc.rowOf, csc.valOf, b, c);
-    return c;
-}
-
-CsrFeatures
-csrGather(const CsrFeatures &x, std::span<const NodeId> rows)
+CsrMatrix
+csrGather(const CsrMatrix &x, std::span<const NodeId> rows)
 {
     for (NodeId r : rows)
         if (r >= x.numRows)
@@ -283,7 +229,7 @@ csrGather(const CsrFeatures &x, std::span<const NodeId> rows)
                                     std::to_string(r) + " >= numRows " +
                                     std::to_string(x.numRows));
 
-    CsrFeatures out;
+    CsrMatrix out;
     out.numRows = static_cast<NodeId>(rows.size());
     out.numCols = x.numCols;
     out.rowPtr.assign(rows.size() + 1, 0);
@@ -311,84 +257,35 @@ csrGather(const CsrFeatures &x, std::span<const NodeId> rows)
 }
 
 DenseMatrix
-sparseTimesDense(const CsrFeatures &x, const DenseMatrix &w,
+sparseTimesDense(const CsrMatrix &x, const DenseMatrix &w,
                  SpmmCounters *counters)
 {
     if (x.numCols != w.rows())
         throw std::invalid_argument("sparseTimesDense shape mismatch");
-    const size_t channels = w.cols();
-    DenseMatrix c(x.numRows, channels);
-    KernelRegion region("sparse_times_dense");
-    gatherTiled(x.rowPtr, x.colIdx, x.values, w, c);
-
-    // Same pull-row-wise access profile as spmmPullRowWise: one A
-    // read and one irregular full-row B pull per stored entry, one
-    // streamed write per output element. Arithmetic in nnz and
-    // channels, so thread-count exact and directly comparable to the
-    // dense path's rows * k * n accounting.
-    if (counters) {
-        SpmmCounters cnt;
-        cnt.aReads = x.nnz();
-        cnt.bIrregularReads = x.nnz() * channels;
-        cnt.macOps = x.nnz() * channels;
-        cnt.cStreamedWrites =
-            static_cast<uint64_t>(x.numRows) * channels;
-        *counters += cnt;
-    }
-    return c;
+    return pullRowWise(x, w, counters, "sparse_times_dense");
 }
 
 DenseMatrix
-sparseTransposeTimesDense(const CsrFeatures &x, const DenseMatrix &b)
+sparseTransposeTimesDense(const CsrMatrix &x, const DenseMatrix &b)
 {
     if (x.numRows != b.rows())
         throw std::invalid_argument(
             "shape mismatch in sparseTransposeTimesDense");
 
-    // Same race-free CSC gather as csrTransposeTimesDense: column j
-    // of X lists output row j's entries in ascending row order (the
-    // sequential scatter's order), workers own disjoint output rows.
-    const CsrFeatures::CscView &csc = x.csc();
+    // C(j, :) = sum over entries X(r, j) of X(r, j) * B(r, :): a
+    // scatter in row order, but a race-free gather over the cached
+    // CSC adjunct — column j of X lists exactly the entries of
+    // output row j, in ascending r order (the sequential scatter's
+    // order), so workers own disjoint output rows.
+    const CscIndex &csc = x.csc();
     DenseMatrix c(x.numCols, b.cols());
     KernelRegion region("sparse_transpose_times_dense");
     gatherTiled(csc.colPtr, csc.rowOf, csc.valOf, b, c);
     return c;
 }
 
-CsrFeatures
-denseToCsrFeatures(const DenseMatrix &m)
-{
-    CsrFeatures out;
-    out.numRows = static_cast<NodeId>(m.rows());
-    out.numCols = static_cast<NodeId>(m.cols());
-    out.rowPtr.assign(m.rows() + 1, 0);
-    const size_t nnz = m.countNonZeros();
-    out.colIdx.reserve(nnz);
-    out.values.reserve(nnz);
-    for (size_t r = 0; r < m.rows(); ++r) {
-        for (size_t c = 0; c < m.cols(); ++c) {
-            if (m.at(r, c) != 0.0f) {
-                out.colIdx.push_back(static_cast<NodeId>(c));
-                out.values.push_back(m.at(r, c));
-            }
-        }
-        out.rowPtr[r + 1] = out.colIdx.size();
-    }
-    return out;
-}
-
-DenseMatrix
-csrFeaturesToDense(const CsrFeatures &x)
-{
-    DenseMatrix d(x.numRows, x.numCols);
-    for (NodeId r = 0; r < x.numRows; ++r)
-        for (EdgeId e = x.rowPtr[r]; e < x.rowPtr[r + 1]; ++e)
-            d.at(r, x.colIdx[e]) = x.values[e];
-    return d;
-}
-
 CsrMatrix
-denseToCsr(const DenseMatrix &m)
+denseToCsrFeatures(const DenseMatrix &m)
 {
     CsrMatrix out;
     out.numRows = static_cast<NodeId>(m.rows());
@@ -407,6 +304,16 @@ denseToCsr(const DenseMatrix &m)
         out.rowPtr[r + 1] = out.colIdx.size();
     }
     return out;
+}
+
+DenseMatrix
+csrFeaturesToDense(const CsrMatrix &x)
+{
+    DenseMatrix d(x.numRows, x.numCols);
+    for (NodeId r = 0; r < x.numRows; ++r)
+        for (EdgeId e = x.rowPtr[r]; e < x.rowPtr[r + 1]; ++e)
+            d.at(r, x.colIdx[e]) = x.values[e];
+    return d;
 }
 
 } // namespace igcn

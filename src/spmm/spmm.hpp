@@ -16,59 +16,10 @@
 #include <span>
 
 #include "graph/csr.hpp"
-#include "graph/csr_features.hpp"
+#include "graph/csr_matrix.hpp"
 #include "spmm/dense.hpp"
 
 namespace igcn {
-
-/**
- * Column-major (CSC) adjunct of a CsrMatrix: the same non-zeros
- * grouped by column, i.e. the transpose view. colPtr[k]..colPtr[k+1]
- * spans column k; within a column, entries are in ascending row
- * order (the CSR rows are swept ascending at build time), so a
- * gather over the CSC replays the row-ascending accumulation order
- * of a column-order scatter exactly.
- */
-struct CscIndex
-{
-    std::vector<EdgeId> colPtr; ///< size numCols + 1
-    std::vector<NodeId> rowOf;  ///< row id per non-zero
-    std::vector<float> valOf;   ///< value per non-zero
-};
-
-/** Sparse CSR matrix of floats (adjacency with normalization values). */
-struct CsrMatrix
-{
-    NodeId numRows = 0;
-    NodeId numCols = 0;
-    std::vector<EdgeId> rowPtr{0};
-    std::vector<NodeId> colIdx;
-    std::vector<float> values;
-
-    EdgeId nnz() const { return colIdx.size(); }
-
-    /** Unweighted adjacency (all values 1) from a graph. */
-    [[nodiscard]] static CsrMatrix fromGraph(const CsrGraph &g);
-
-    /** Dense copy, for verification on small matrices only. */
-    DenseMatrix toDense() const;
-
-    /**
-     * The cached CSC adjunct, built lazily on first use (thread-safe
-     * one-time construction; concurrent first callers all see the
-     * same object). The push-style kernels gather through it instead
-     * of rebuilding a transpose per call. Mutating rowPtr / colIdx /
-     * values after the cache was built requires invalidateCsc();
-     * copies and assignments start with an empty cache.
-     */
-    const CscIndex &csc() const;
-
-    /** Drop the cached CSC (call after mutating the non-zeros). */
-    void invalidateCsc() const { cscCache.invalidate(); }
-
-  private:
-    LazyAdjunct<CscIndex> cscCache;
-};
 
 /**
  * Access counters for one SpMM execution. "Irregular" accesses are
@@ -127,25 +78,6 @@ DenseMatrix spmmPushColumnWise(const CsrMatrix &a, const DenseMatrix &b,
 DenseMatrix spmmPushOuterProduct(const CsrMatrix &a, const DenseMatrix &b,
                                  SpmmCounters *counters = nullptr);
 
-/** Sparse-times-dense where the left operand is a CSR feature matrix. */
-DenseMatrix csrTimesDense(const CsrMatrix &x, const DenseMatrix &w,
-                          SpmmCounters *counters = nullptr);
-
-/**
- * C = X^T * B for CSR X (rows x k) and dense B (rows x n): the
- * backward-pass weight-gradient kernel for sparse feature matrices.
- * A race-free gather over X's cached CSC adjunct: workers own
- * disjoint output rows (columns of X) and each output element
- * accumulates its column's non-zeros in ascending row order — the
- * sequential scatter's order — so the result is bit-identical to the
- * sequential kernel at any thread count.
- */
-DenseMatrix csrTransposeTimesDense(const CsrMatrix &x,
-                                   const DenseMatrix &b);
-
-/** Convert a dense matrix into CSR form (exact, drops zeros). */
-CsrMatrix denseToCsr(const DenseMatrix &m);
-
 /**
  * Row-extraction kernel for CSR feature matrices: output row i is a
  * structural copy of x's row rows[i] (duplicates allowed, any order).
@@ -156,36 +88,44 @@ CsrMatrix denseToCsr(const DenseMatrix &m);
  * rows, so the result is bit-identical at any IGCN_THREADS.
  * @throws std::out_of_range when a requested row id >= x.numRows.
  */
-CsrFeatures csrGather(const CsrFeatures &x, std::span<const NodeId> rows);
+CsrMatrix csrGather(const CsrMatrix &x, std::span<const NodeId> rows);
 
 /**
  * C = X * W for CSR features X (rows x k) and dense W (k x n): the
- * sparse first-layer combination kernel. Executes as the same
- * channel-tiled race-free row gather as spmmPullRowWise and reports
- * the pull-row-wise Table-1 access profile (aReads = nnz,
- * bIrregularReads = macOps = nnz * n, cStreamedWrites = rows * n) so
- * the accel models account sparse and dense inputs under one model.
+ * sparse first-layer combination kernel. It is spmmPullRowWise —
+ * the same row gather and the same Table-1 counters (aReads = nnz,
+ * bIrregularReads = macOps = nnz * n, cStreamedWrites = rows * n) —
+ * under its own KernelRegion label, "sparse_times_dense", so layer-0
+ * time stays apart from aggregation time in the runtime profile.
  * Per output element the stored entries accumulate in ascending
  * column order — exactly the order dense gemm accumulates its
  * non-zero a(i,k) terms — so on a densified copy of X the result is
  * bit-identical to gemm, at any IGCN_THREADS.
  */
-DenseMatrix sparseTimesDense(const CsrFeatures &x, const DenseMatrix &w,
+DenseMatrix sparseTimesDense(const CsrMatrix &x, const DenseMatrix &w,
                              SpmmCounters *counters = nullptr);
 
 /**
- * C = X^T * B for CSR features X (rows x k) and dense B (rows x n):
- * the backward-pass weight-gradient kernel for sparse X. A race-free
- * gather over X's cached CSC view — bit-identical to the sequential
- * scatter at any thread count, same scheme as csrTransposeTimesDense.
+ * C = X^T * B for CSR X (rows x k) and dense B (rows x n): the
+ * backward-pass weight-gradient kernel for sparse features. A
+ * race-free gather over X's cached CSC adjunct: workers own disjoint
+ * output rows (columns of X) and each output element accumulates its
+ * column's entries in ascending row order — the sequential scatter's
+ * order — so the result is bit-identical to the sequential kernel at
+ * any thread count. The adjunct is built once per matrix and reused
+ * by every later call (every training epoch passes the same X).
  */
-DenseMatrix sparseTransposeTimesDense(const CsrFeatures &x,
+DenseMatrix sparseTransposeTimesDense(const CsrMatrix &x,
                                       const DenseMatrix &b);
 
-/** Convert a dense matrix into CsrFeatures (exact, drops zeros). */
-CsrFeatures denseToCsrFeatures(const DenseMatrix &m);
+/** Convert a dense matrix into CSR form (exact, drops zeros). */
+CsrMatrix denseToCsrFeatures(const DenseMatrix &m);
 
-/** Densify a CsrFeatures matrix, for verification on small inputs. */
-DenseMatrix csrFeaturesToDense(const CsrFeatures &x);
+/**
+ * Densify a CSR matrix, for verification on small inputs. Each
+ * stored entry is copied to its cell; the strictly ascending columns
+ * of a valid CsrMatrix give every cell at most one entry.
+ */
+DenseMatrix csrFeaturesToDense(const CsrMatrix &x);
 
 } // namespace igcn

@@ -226,29 +226,63 @@ TEST(Reference, SparseFirstLayerForwardBitEqualsDense)
               0);
 }
 
-TEST(Layer, SubgraphForwardSparseOverloadBitEqualsDense)
+TEST(Layer, SubgraphForwardCsrFeaturesBitEqualDenseAndReference)
 {
-    // The serving path's building block: the CsrFeatures overload of
-    // subgraphForward must be byte-equal to the dense overload on
-    // the densified image (and the dense overload itself is the
-    // unchanged pre-sparse operation sequence).
+    // The serving path's building block: subgraphForward on CSR
+    // features must be byte-equal to the same call on their dense
+    // image, and — over the whole graph with its own scaling — to
+    // referenceForward, whose loop is written out separately.
     auto hi = hubAndIslandGraph({.numNodes = 250, .seed = 33});
     Rng rng(23);
-    DenseMatrix x(250, 40);
-    x.fillRandomSparse(rng, 0.05, 1.0f);
-    CsrFeatures xs = denseToCsrFeatures(x);
+    Features dense;
+    dense.dense = DenseMatrix(250, 40);
+    dense.dense.fillRandomSparse(rng, 0.05, 1.0f);
+    Features sparse;
+    sparse.sparse = true;
+    sparse.csr = denseToCsrFeatures(dense.dense);
     std::vector<float> scale = degreeScaling(hi.graph);
 
     ModelConfig mc;
     mc.layers = {{40, 10}, {10, 3}};
     auto weights = makeWeights(mc, rng);
 
-    DenseMatrix a = subgraphForward(hi.graph, scale, x, weights);
-    DenseMatrix b = subgraphForward(hi.graph, scale, xs, weights);
+    DenseMatrix a = subgraphForward(hi.graph, scale, dense, weights);
+    DenseMatrix b = subgraphForward(hi.graph, scale, sparse, weights);
+    DenseMatrix ref = referenceForward(hi.graph, dense, weights);
     ASSERT_EQ(a.rows(), b.rows());
+    ASSERT_EQ(a.rows(), ref.rows());
     EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
                           a.data().size() * sizeof(float)),
               0);
+    EXPECT_EQ(std::memcmp(a.data().data(), ref.data().data(),
+                          a.data().size() * sizeof(float)),
+              0);
+}
+
+TEST(Reference, GatherRowsKeepsStorageAndRows)
+{
+    // gatherRows copies the requested rows (duplicates, any order)
+    // in x's own storage; the CSR gather densifies to the dense one.
+    Rng rng(29);
+    Features dense;
+    dense.dense = DenseMatrix(30, 12);
+    dense.dense.fillRandomSparse(rng, 0.2, 1.0f);
+    Features sparse;
+    sparse.sparse = true;
+    sparse.csr = denseToCsrFeatures(dense.dense);
+    const std::vector<NodeId> rows{4, 0, 29, 4, 17};
+
+    const Features gd = gatherRows(dense, rows);
+    const Features gs = gatherRows(sparse, rows);
+    EXPECT_FALSE(gd.sparse);
+    EXPECT_TRUE(gs.sparse);
+    ASSERT_EQ(gd.rows(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i)
+        for (size_t c = 0; c < 12; ++c)
+            EXPECT_EQ(gd.dense.at(i, c), dense.dense.at(rows[i], c));
+    EXPECT_EQ(csrFeaturesToDense(gs.csr), gd.dense);
+    EXPECT_THROW(gatherRows(sparse, std::vector<NodeId>{30}),
+                 std::out_of_range);
 }
 
 TEST(Reference, NoLayersThrows)

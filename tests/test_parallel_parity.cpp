@@ -3,7 +3,7 @@
  * Differential and property tests for the parallel kernels.
  *
  * Every kernel that moved onto the thread pool — the four SpMM
- * dataflows and csrTransposeTimesDense — is checked at 1/2/4/8
+ * dataflows and sparseTransposeTimesDense — is checked at 1/2/4/8
  * threads across the four graph families against a sequential
  * reference written with the pre-refactor loop orders:
  *
@@ -35,11 +35,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
 
 #include "core/locator.hpp"
+#include "gcn/layer.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "runtime/thread_pool.hpp"
@@ -137,7 +139,7 @@ seqPushOuterProduct(const CsrMatrix &a, const DenseMatrix &b)
 }
 
 DenseMatrix
-seqCsrTransposeTimesDense(const CsrMatrix &x, const DenseMatrix &b)
+seqTransposeTimesDense(const CsrMatrix &x, const DenseMatrix &b)
 {
     DenseMatrix c(x.numCols, b.cols());
     for (NodeId r = 0; r < x.numRows; ++r) {
@@ -302,22 +304,22 @@ TEST_F(ParityTest, SpmmDataflowsMatchSequentialAcrossThreads)
     }
 }
 
-TEST_F(ParityTest, CsrTransposeTimesDenseMatchesSequentialAcrossThreads)
+TEST_F(ParityTest, SparseTransposeTimesDenseMatchesSequentialAcrossThreads)
 {
     for (const FamilyCase &fc : graphFamilies()) {
         CsrMatrix a;
         DenseMatrix b;
         makeOperands(fc.graph, a, b);
-        const DenseMatrix ref = seqCsrTransposeTimesDense(a, b);
+        const DenseMatrix ref = seqTransposeTimesDense(a, b);
 
         setGlobalThreads(1);
-        const DenseMatrix base = csrTransposeTimesDense(a, b);
+        const DenseMatrix base = sparseTransposeTimesDense(a, b);
         EXPECT_EQ(base.data(), ref.data())
             << fc.name << " @ 1 thread";
 
         for (int threads : kThreadCounts) {
             setGlobalThreads(threads);
-            const DenseMatrix c = csrTransposeTimesDense(a, b);
+            const DenseMatrix c = sparseTransposeTimesDense(a, b);
             // Tolerance-equality required, bit-identity delivered:
             // each output row gathers its CSC column in ascending
             // row order at every thread count.
@@ -325,7 +327,7 @@ TEST_F(ParityTest, CsrTransposeTimesDenseMatchesSequentialAcrossThreads)
                 << fc.name << " @ " << threads << " threads";
             EXPECT_EQ(c.data(), base.data())
                 << fc.name << " @ " << threads << " threads";
-            const DenseMatrix c2 = csrTransposeTimesDense(a, b);
+            const DenseMatrix c2 = sparseTransposeTimesDense(a, b);
             EXPECT_EQ(c2.data(), c.data())
                 << fc.name << " @ " << threads << " threads (rerun)";
         }
@@ -411,7 +413,7 @@ TEST_F(ParityTest, CscAdjunctBuildsOnceUnderConcurrentFirstUse)
 
 TEST_F(ParityTest, CscAdjunctInvalidatesOnMutationAndAssignment)
 {
-    CsrMatrix a = denseToCsr([] {
+    CsrMatrix a = denseToCsrFeatures([] {
         Rng rng(5);
         DenseMatrix m(12, 9);
         m.fillRandomSparse(rng, 0.3);
@@ -428,7 +430,7 @@ TEST_F(ParityTest, CscAdjunctInvalidatesOnMutationAndAssignment)
 
     // Assignment drops the target's cache: the reassigned matrix
     // must serve its new transpose, not the stale one.
-    CsrMatrix other = denseToCsr([] {
+    CsrMatrix other = denseToCsrFeatures([] {
         Rng rng(6);
         DenseMatrix m(7, 15);
         m.fillRandomSparse(rng, 0.4);
@@ -456,7 +458,7 @@ TEST_F(ParityTest, CscAdjunctInvalidatesOnMutationAndAssignment)
 
 TEST_F(ParityTest, TransposeGatherBitIdenticalThroughCachedAndColdCsc)
 {
-    // csrTransposeTimesDense is the kernel that reads the adjunct
+    // sparseTransposeTimesDense is the kernel that reads the adjunct
     // (the outer product gathers over the matrix's own CSR arrays):
     // a cold call (fresh matrix, cache built inside the kernel) and
     // a warm call (cache primed beforehand) must agree bitwise.
@@ -467,10 +469,66 @@ TEST_F(ParityTest, TransposeGatherBitIdenticalThroughCachedAndColdCsc)
         makeOperands(graphFamilies().front().graph, cold, b);
         CsrMatrix warm = cold;
         (void)warm.csc();
-        EXPECT_EQ(csrTransposeTimesDense(cold, b).data(),
-                  csrTransposeTimesDense(warm, b).data())
+        EXPECT_EQ(sparseTransposeTimesDense(cold, b).data(),
+                  sparseTransposeTimesDense(warm, b).data())
             << threads << " threads";
     }
+}
+
+// ---------------------------------------------------------------------
+// A_hat satisfies the CsrMatrix invariants
+// ---------------------------------------------------------------------
+
+/**
+ * normalizedAdjacencyScaled(g, s) re-adopted through the validating
+ * constructor: fromArrays accepts it unchanged (strictly ascending
+ * columns, in range, consistent rowPtr), and every row holds its
+ * self loop exactly once with value s[u] * s[u].
+ */
+void
+expectAdjacencyIsValidCsr(const CsrGraph &g, const std::string &ctx)
+{
+    const std::vector<float> s = degreeScaling(g);
+    const CsrMatrix a_hat = normalizedAdjacencyScaled(g, s);
+    CsrMatrix adopted;
+    ASSERT_NO_THROW(adopted = CsrMatrix::fromArrays(
+                        a_hat.numRows, a_hat.numCols, a_hat.rowPtr,
+                        a_hat.colIdx, a_hat.values))
+        << ctx;
+    EXPECT_EQ(adopted, a_hat) << ctx;
+    for (NodeId u = 0; u < a_hat.numRows; ++u) {
+        const CsrRow row = a_hat.row(u);
+        const auto self = std::find(row.cols.begin(), row.cols.end(), u);
+        ASSERT_NE(self, row.cols.end()) << ctx << " row " << u;
+        EXPECT_EQ(std::count(row.cols.begin(), row.cols.end(), u), 1)
+            << ctx << " row " << u;
+        EXPECT_EQ(row.vals[self - row.cols.begin()], s[u] * s[u])
+            << ctx << " row " << u;
+    }
+}
+
+TEST(NormalizedAdjacency, AdoptsThroughFromArraysOnEveryFamily)
+{
+    for (const FamilyCase &fc : graphFamilies())
+        expectAdjacencyIsValidCsr(fc.graph, fc.name);
+}
+
+TEST(NormalizedAdjacency, ExplicitSelfLoopsStayStrictlyAscending)
+{
+    // Self loops sit first (node 0), mid-row (node 3), last (node 6)
+    // and alone (isolated node 7); nodes 1, 2, 4 and 5 have none, so
+    // the builder inserts theirs at the sorted position.
+    const std::vector<Edge> edges{{0, 0}, {0, 1}, {0, 5}, {3, 3},
+                                  {1, 3}, {3, 5}, {2, 6}, {5, 6},
+                                  {6, 6}, {7, 7}, {4, 2}};
+    const CsrGraph g = CsrGraph::fromEdges(8, edges, /*symmetrize=*/true,
+                                           /*keep_self_loops=*/true);
+    ASSERT_TRUE(g.hasEdge(3, 3));
+    ASSERT_TRUE(g.hasEdge(7, 7));
+    expectAdjacencyIsValidCsr(g, "explicit self loops");
+    // With the graph's own loop merged, each looped row gains no
+    // entry and every other row gains one.
+    EXPECT_EQ(normalizedAdjacency(g).nnz(), g.numEdges() + 4);
 }
 
 // ---------------------------------------------------------------------
@@ -738,7 +796,7 @@ TEST_F(ParityTest, FuzzAgainstNaiveDenseReference)
         setGlobalThreads(threads);
         for (int iter = 0; iter < 25; ++iter) {
             const DenseMatrix ad = randomSparseDense(rng);
-            const CsrMatrix a = denseToCsr(ad);
+            const CsrMatrix a = denseToCsrFeatures(ad);
             DenseMatrix b(ad.cols(), 1 + rng.nextBounded(20));
             b.fillRandom(rng);
             const DenseMatrix expected = naiveDenseProduct(ad, b);
@@ -758,7 +816,7 @@ TEST_F(ParityTest, FuzzAgainstNaiveDenseReference)
             // rows here.
             DenseMatrix bt(ad.rows(), b.cols());
             bt.fillRandom(rng);
-            const DenseMatrix t = csrTransposeTimesDense(a, bt);
+            const DenseMatrix t = sparseTransposeTimesDense(a, bt);
             EXPECT_LE(maxAbsDiff(t, naiveDenseTransposeProduct(ad, bt)),
                       kTol) << "transpose, " << ctx;
         }

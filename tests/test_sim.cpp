@@ -1,14 +1,13 @@
 /**
  * @file
  * Simulation substrate tests: event ordering, DRAM bandwidth
- * accounting, FIFO semantics, stats registry.
+ * accounting, stats registry.
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/dram.hpp"
 #include "sim/engine.hpp"
-#include "sim/fifo.hpp"
 #include "sim/stats.hpp"
 
 namespace igcn {
@@ -98,20 +97,6 @@ TEST(Dram, SmallRandomRequestsSlower)
     Cycles sb = big_stream.access(0, 1 << 20, AccessPattern::Streaming);
     EXPECT_LT(static_cast<double>(rb),
               static_cast<double>(sb) * 1.05);
-}
-
-TEST(Fifo, PushPopOrder)
-{
-    BoundedFifo<int> fifo(2);
-    EXPECT_TRUE(fifo.empty());
-    EXPECT_TRUE(fifo.push(1));
-    EXPECT_TRUE(fifo.push(2));
-    EXPECT_TRUE(fifo.full());
-    EXPECT_FALSE(fifo.push(3));
-    EXPECT_EQ(fifo.pop().value(), 1);
-    EXPECT_EQ(fifo.pop().value(), 2);
-    EXPECT_FALSE(fifo.pop().has_value());
-    EXPECT_EQ(fifo.highWater(), 2u);
 }
 
 TEST(Stats, RegistryBasics)
