@@ -110,13 +110,13 @@ main()
             if (u != v)
                 added.emplace_back(u, v);
         }
-        std::vector<Edge> all = g.toEdges();
-        all.insert(all.end(), added.begin(), added.end());
-        g = CsrGraph::fromEdges(8000, all, /*symmetrize=*/true);
+        // The serving path's edit: one merge sweep, no edge-list
+        // rebuild (already-present edges are absorbed).
+        g = g.withEditedEdges(added, {});
 
         auto t0 = std::chrono::steady_clock::now();
         IncrementalStats stats;
-        isl = updateIslandization(g, isl, added, lcfg, &stats);
+        isl = updateIslandization(g, isl, added, {}, lcfg, &stats);
         auto t1 = std::chrono::steady_clock::now();
         IslandizationResult fresh = islandize(g, lcfg);
         auto t2 = std::chrono::steady_clock::now();

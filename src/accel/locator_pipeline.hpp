@@ -16,7 +16,7 @@
 #pragma once
 
 #include "core/locator.hpp"
-#include "sim/engine.hpp"
+#include "sim/dram.hpp"
 
 namespace igcn {
 

@@ -119,9 +119,9 @@ updateIslandization(const CsrGraph &g,
         if (out.role[u] == NodeRole::Hub &&
             out.role[v] == NodeRole::Hub) {
             // A failed erase means a duplicate within the span
-            // (callers pass deduplicated spans; withRemovedEdges
-            // collapses duplicates the same way): not an absorbed
-            // edge, so it counts nowhere.
+            // (callers pass deduplicated spans; withEditedEdges
+            // collapses duplicate removals the same way): not an
+            // absorbed edge, so it counts nowhere.
             if (inter_hub.erase({std::min(u, v), std::max(u, v)}))
                 local_stats.edgesRemovedInterHub++;
         }
@@ -306,16 +306,6 @@ updateIslandization(const CsrGraph &g,
     if (stats)
         *stats = local_stats;
     return out;
-}
-
-IslandizationResult
-updateIslandization(const CsrGraph &g,
-                    const IslandizationResult &old_result,
-                    std::span<const Edge> added,
-                    const LocatorConfig &cfg, IncrementalStats *stats)
-{
-    return updateIslandization(g, old_result, added,
-                               std::span<const Edge>{}, cfg, stats);
 }
 
 } // namespace igcn

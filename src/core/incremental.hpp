@@ -73,8 +73,8 @@ struct IncrementalStats
  *                   serve::UpdateApplier)
  * @param old_result islandization of the pre-update graph (removed
  *                   edges are classified against its roles)
- * @param added      the added undirected edges (u, v)
- * @param removed    the removed undirected edges (u, v)
+ * @param added      the added undirected edges (u, v); may be empty
+ * @param removed    the removed undirected edges (u, v); may be empty
  * @param cfg        locator parameters for the local repair
  * @param stats      optional update statistics
  * @return a valid islandization of new_graph; islands not incident
@@ -85,14 +85,6 @@ updateIslandization(const CsrGraph &new_graph,
                     const IslandizationResult &old_result,
                     std::span<const Edge> added,
                     std::span<const Edge> removed,
-                    const LocatorConfig &cfg = {},
-                    IncrementalStats *stats = nullptr);
-
-/** Addition-only convenience overload (the pre-deletion API). */
-IslandizationResult
-updateIslandization(const CsrGraph &new_graph,
-                    const IslandizationResult &old_result,
-                    std::span<const Edge> added,
                     const LocatorConfig &cfg = {},
                     IncrementalStats *stats = nullptr);
 

@@ -103,27 +103,9 @@ subgraphForward(const CsrGraph &sub, const std::vector<float> &scale,
 CsrMatrix
 binaryAdjacencyWithSelfLoops(const CsrGraph &g)
 {
-    CsrMatrix m;
-    m.numRows = g.numNodes();
-    m.numCols = g.numNodes();
-    m.rowPtr.assign(g.numNodes() + 1, 0);
-    for (NodeId u = 0; u < g.numNodes(); ++u) {
-        bool self_inserted = false;
-        for (NodeId v : g.neighbors(u)) {
-            if (!self_inserted && v >= u) {
-                m.colIdx.push_back(u);
-                self_inserted = true;
-                if (v == u)
-                    continue;
-            }
-            m.colIdx.push_back(v);
-        }
-        if (!self_inserted)
-            m.colIdx.push_back(u);
-        m.rowPtr[u + 1] = m.colIdx.size();
-    }
-    m.values.assign(m.colIdx.size(), 1.0f);
-    return m;
+    // Unit scaling: every entry is 1.0f * 1.0f, exactly 1.0f.
+    return normalizedAdjacencyScaled(
+        g, std::vector<float>(g.numNodes(), 1.0f));
 }
 
 void

@@ -82,7 +82,11 @@ DenseMatrix subgraphForward(const CsrGraph &sub,
                             const Features &x,
                             const std::vector<DenseMatrix> &weights);
 
-/** Binary adjacency with self loops, A + I (factored path). */
+/**
+ * Binary adjacency with self loops, A + I (factored path): the A_hat
+ * build of normalizedAdjacencyScaled at unit scaling, so both share
+ * one self-loop placement loop.
+ */
 CsrMatrix binaryAdjacencyWithSelfLoops(const CsrGraph &g);
 
 /** Element-wise ReLU in place. */

@@ -70,99 +70,6 @@ CsrGraph::fromCsrArrays(std::vector<EdgeId> row_ptr,
 }
 
 CsrGraph
-CsrGraph::withAddedEdges(std::span<const Edge> added) const
-{
-    const NodeId n = numNodes();
-    std::vector<Edge> arcs;
-    arcs.reserve(added.size() * 2);
-    for (const auto &[u, v] : added) {
-        if (u >= n || v >= n)
-            throw std::out_of_range(
-                "withAddedEdges: endpoint exceeds num_nodes");
-        if (u == v)
-            continue;
-        arcs.emplace_back(u, v);
-        arcs.emplace_back(v, u);
-    }
-    std::sort(arcs.begin(), arcs.end());
-    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-
-    std::vector<EdgeId> rp(static_cast<size_t>(n) + 1, 0);
-    std::vector<NodeId> ci;
-    ci.reserve(colIdx.size() + arcs.size());
-    size_t ai = 0;
-    for (NodeId u = 0; u < n; ++u) {
-        EdgeId e = rowPtr[u];
-        const EdgeId e1 = rowPtr[u + 1];
-        while (e < e1 || (ai < arcs.size() && arcs[ai].first == u)) {
-            const bool have_added =
-                ai < arcs.size() && arcs[ai].first == u;
-            if (!have_added) {
-                ci.push_back(colIdx[e++]);
-            } else if (e >= e1 || arcs[ai].second < colIdx[e]) {
-                ci.push_back(arcs[ai++].second);
-            } else if (arcs[ai].second == colIdx[e]) {
-                ai++; // arc already present; existing entry wins
-            } else {
-                ci.push_back(colIdx[e++]);
-            }
-        }
-        rp[u + 1] = ci.size();
-    }
-    return fromCsrArrays(std::move(rp), std::move(ci));
-}
-
-CsrGraph
-CsrGraph::withRemovedEdges(std::span<const Edge> removed) const
-{
-    const NodeId n = numNodes();
-    std::vector<Edge> arcs;
-    arcs.reserve(removed.size() * 2);
-    for (const auto &[u, v] : removed) {
-        if (u >= n || v >= n)
-            throw std::out_of_range(
-                "withRemovedEdges: endpoint exceeds num_nodes");
-        arcs.emplace_back(u, v);
-        if (u != v)
-            arcs.emplace_back(v, u);
-    }
-    std::sort(arcs.begin(), arcs.end());
-    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-
-    auto missing = [](const Edge &arc) {
-        throw std::invalid_argument(
-            "withRemovedEdges: edge (" +
-            std::to_string(arc.first) + ", " +
-            std::to_string(arc.second) + ") not present");
-    };
-
-    std::vector<EdgeId> rp(static_cast<size_t>(n) + 1, 0);
-    std::vector<NodeId> ci;
-    ci.reserve(colIdx.size() >= arcs.size()
-                   ? colIdx.size() - arcs.size()
-                   : 0);
-    size_t ai = 0;
-    for (NodeId u = 0; u < n; ++u) {
-        for (EdgeId e = rowPtr[u]; e < rowPtr[u + 1]; ++e) {
-            // Arcs sorted before this row entry matched nothing.
-            while (ai < arcs.size() && arcs[ai].first == u &&
-                   arcs[ai].second < colIdx[e])
-                missing(arcs[ai]);
-            if (ai < arcs.size() && arcs[ai].first == u &&
-                arcs[ai].second == colIdx[e]) {
-                ai++; // drop this arc
-                continue;
-            }
-            ci.push_back(colIdx[e]);
-        }
-        while (ai < arcs.size() && arcs[ai].first == u)
-            missing(arcs[ai]);
-        rp[u + 1] = ci.size();
-    }
-    return fromCsrArrays(std::move(rp), std::move(ci));
-}
-
-CsrGraph
 CsrGraph::withEditedEdges(std::span<const Edge> fresh,
                           std::span<const Edge> stale) const
 {
@@ -221,9 +128,9 @@ CsrGraph::withEditedEdges(std::span<const Edge> fresh,
     };
 
     // One three-way sweep per row: existing ∪ adds, minus rems, with
-    // the removal strictness of withRemovedEdges (rems must match
-    // existing entries; adds cannot satisfy a removal — the
-    // intersection check above already rejected that shape).
+    // strict removal (rems must match existing entries; adds cannot
+    // satisfy a removal — the intersection check above already
+    // rejected that shape).
     std::vector<EdgeId> rp(static_cast<size_t>(n) + 1, 0);
     std::vector<NodeId> ci;
     ci.reserve(colIdx.size() + adds.size());
@@ -346,13 +253,6 @@ inducedSubgraph(const CsrGraph &g, std::vector<NodeId> nodes,
     }
     out.nodes = std::move(nodes);
     return out;
-}
-
-LHopSubgraph
-extractLHopSubgraph(const CsrGraph &g, std::span<const NodeId> targets,
-                    int hops)
-{
-    return inducedSubgraph(g, lHopNodeSet(g, targets, hops), targets);
 }
 
 void

@@ -163,7 +163,7 @@ class CsrGraph
     /**
      * Adopt prebuilt CSR arrays directly (the O(E) path for callers
      * that already produce sorted, deduplicated adjacency — subgraph
-     * extraction, merge-based edge insertion). Invariants are
+     * extraction, the merge-based edge edit). Invariants are
      * validated in O(E): row_ptr starts at 0, is monotone, and ends
      * at col_idx.size(); every row's columns are strictly ascending
      * and < numNodes.
@@ -174,50 +174,27 @@ class CsrGraph
                                   std::vector<NodeId> col_idx);
 
     /**
-     * Copy of this graph with undirected edges added (both arcs).
-     * Duplicates within `added` and edges already present are
-     * absorbed; self loops are dropped; endpoints must be in range.
-     * A per-row merge of the existing sorted adjacency with the
-     * sorted new arcs — O(E + k log k) for k added edges, no
-     * edge-list rebuild — the steady-state mutation path of the
-     * online serving subsystem.
-     */
-    [[nodiscard]] CsrGraph withAddedEdges(std::span<const Edge> added) const;
-
-    /**
-     * Copy of this graph with undirected edges removed (both arcs; a
-     * self loop (v, v) is the single arc). The merge-based mirror of
-     * withAddedEdges — a per-row sweep of the sorted adjacency
-     * dropping the sorted removal arcs, O(E + k log k) for k removed
-     * edges — the steady-state deletion path of the online serving
-     * subsystem. Duplicate edges (and both orientations of one edge)
-     * within `removed` collapse to a single removal, the same
-     * set-semantics withAddedEdges gives duplicates. Every requested
-     * edge must actually be present: a nonexistent edge throws
-     * std::invalid_argument naming the edge (the serving layer
-     * screens its spans against hasEdge first; the graph API itself
-     * is strict so silent divergence between a caller's view and the
-     * graph cannot pass unnoticed). Endpoints out of range throw
-     * std::out_of_range.
-     */
-    [[nodiscard]] CsrGraph withRemovedEdges(std::span<const Edge> removed) const;
-
-    /**
-     * Copy of this graph with `fresh` edges added and `stale` edges
-     * removed in ONE per-row merge sweep — the mixed-span epoch-build
-     * path of the online serving subsystem, which previously paid for
-     * withAddedEdges followed by withRemovedEdges (two full CSR
-     * rebuilds). Exactly equivalent to that two-pass composition for
-     * disjoint spans, with the same strict contracts: fresh edges
-     * follow withAddedEdges semantics (both arcs, duplicates and
-     * already-present absorbed, self loops dropped), stale edges
-     * follow withRemovedEdges semantics (every requested edge must be
-     * present or std::invalid_argument names it). An edge appearing
-     * in both spans (either orientation) is an ambiguous edit and
-     * throws std::invalid_argument — the UpdateApplier's last-write-
-     * wins coalescing guarantees disjoint presence-changing spans
-     * before calling in. Endpoints out of range throw
-     * std::out_of_range. O(E + k log k) for k edited edges.
+     * Copy of this graph with `fresh` undirected edges added and
+     * `stale` undirected edges removed, in ONE per-row merge sweep of
+     * the sorted adjacency — the epoch-build path of the online
+     * serving subsystem, and the only edge-edit entry point (pass an
+     * empty span for a one-sided edit). O(E + k log k) for k edited
+     * edges, no edge-list rebuild.
+     *  - Additions insert both arcs. Duplicates within `fresh` (either
+     *    orientation) and edges already present are absorbed; self
+     *    loops are dropped.
+     *  - Removals drop both arcs (a self loop (v, v) is the single
+     *    arc). Duplicates within `stale` (either orientation)
+     *    collapse to one removal. Removal is strict: every requested
+     *    edge must be present, else std::invalid_argument names it
+     *    (the serving layer screens its spans against hasEdge first;
+     *    a silent divergence between a caller's view and the graph
+     *    cannot pass unnoticed).
+     *  - An edge in both spans (either orientation) is an ambiguous
+     *    edit and throws std::invalid_argument — the UpdateApplier's
+     *    last-write-wins coalescing guarantees disjoint spans.
+     *  - An endpoint out of range in either span throws
+     *    std::out_of_range.
      */
     [[nodiscard]] CsrGraph withEditedEdges(std::span<const Edge> fresh,
                              std::span<const Edge> stale) const;
@@ -353,11 +330,14 @@ struct LHopSubgraph
 };
 
 /**
- * The L-hop node set alone: ascending global ids of every node
- * within `hops` of a target. Cheap relative to the sub-CSR build —
- * callers that may fall back to a whole-graph pass (the serving
- * engine's wholeGraphFraction check) decide on this before paying
- * for inducedSubgraph.
+ * The L-hop node set: ascending global ids of every node within
+ * `hops` of a target. hops = L is exactly the input set an L-layer
+ * GCN needs to reproduce the targets' outputs: after layer l, all
+ * nodes within distance L - l of a target have full-graph-exact
+ * values, so after L layers the targets do. Cheap relative to the
+ * sub-CSR build — callers that may fall back to a whole-graph pass
+ * (the serving engine's wholeGraphFraction check) decide on this
+ * before paying for inducedSubgraph.
  */
 std::vector<NodeId> lHopNodeSet(const CsrGraph &g,
                                 std::span<const NodeId> targets,
@@ -371,19 +351,6 @@ std::vector<NodeId> lHopNodeSet(const CsrGraph &g,
 LHopSubgraph inducedSubgraph(const CsrGraph &g,
                              std::vector<NodeId> nodes,
                              std::span<const NodeId> targets);
-
-/**
- * Extract the L-hop receptive subgraph of `targets` (duplicates
- * allowed; each occurrence gets a targetLocal entry). hops = L means
- * every node within distance L of a target is included, which is
- * exactly the input set an L-layer GCN needs to reproduce the
- * targets' outputs: after layer l, all nodes within distance L - l
- * of a target have full-graph-exact values, so after L layers the
- * targets do. Equivalent to inducedSubgraph over lHopNodeSet.
- */
-LHopSubgraph extractLHopSubgraph(const CsrGraph &g,
-                                 std::span<const NodeId> targets,
-                                 int hops);
 
 /** Histogram of node degrees: result[d] = number of nodes of degree d. */
 std::vector<EdgeId> degreeHistogram(const CsrGraph &g);

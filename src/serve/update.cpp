@@ -34,8 +34,8 @@ UpdateApplier::apply(std::span<const Request> batch)
     // the serving boundary is lenient so a malformed trace event
     // cannot take the server down — and the net effect is then
     // screened against the current epoch, so the strict graph API
-    // below (withAddedEdges / withRemovedEdges) always receives
-    // exactly the edges that change presence.
+    // below (withEditedEdges) always receives exactly the edges that
+    // change presence.
     std::map<Edge, bool> want; // normalized edge -> present after span
     size_t proposed = 0;
     size_t invalid = 0;
@@ -82,8 +82,7 @@ UpdateApplier::apply(std::span<const Request> batch)
     auto next = std::make_shared<GraphState>();
     next->epoch = cur->epoch + 1;
     // The want-map screening above makes fresh/stale disjoint
-    // presence-changing spans, exactly withEditedEdges' contract; one
-    // merge sweep replaces the two-pass add-then-remove rebuild.
+    // presence-changing spans, exactly withEditedEdges' contract.
     next->graph = cur->graph.withEditedEdges(fresh, stale);
     next->islands = updateIslandization(next->graph, cur->islands,
                                         fresh, stale, locator,

@@ -7,8 +7,8 @@
  * last-write-wins net effect per undirected edge (the mixed-span
  * coalescing rule: requests in arrival order, additions before
  * removals within a request), and builds the next epoch privately —
- * merge-based edge insertion/deletion (CsrGraph::withAddedEdges /
- * withRemovedEdges), *incremental* islandization repair
+ * one merge-based edge edit (CsrGraph::withEditedEdges with both
+ * spans), *incremental* islandization repair
  * (updateIslandization with both spans: the paper's evolving-graph
  * machinery, dissolve-on-remove included), fresh degree scaling, and
  * an in-place A_hat refresh that drops the matrix's cached CSC

@@ -16,9 +16,10 @@
 
 #include <cstdint>
 
-#include "sim/engine.hpp"
-
 namespace igcn {
+
+/** Simulated time, in accelerator clock cycles. */
+using Cycles = uint64_t;
 
 /** Access pattern of a DRAM request. */
 enum class AccessPattern

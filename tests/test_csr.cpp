@@ -227,10 +227,36 @@ TEST(CsrGraph, FromCsrArraysValidatesInvariants)
                  std::invalid_argument);
 }
 
-TEST(CsrGraph, WithAddedEdgesMatchesEdgeListRebuild)
+/**
+ * Ground-truth oracle for withEditedEdges: a fromEdges rebuild of
+ * (E ∪ fresh) \ stale as an arc set — fresh edges contribute both
+ * arcs and drop self loops, stale edges remove both arcs, and any
+ * self loop already stored in g is kept.
+ */
+CsrGraph
+modelRebuild(const CsrGraph &g, const std::vector<Edge> &fresh,
+             const std::vector<Edge> &stale)
 {
-    // Differential: the O(E + k log k) merge must equal a full
-    // rebuild from the combined edge list, across graph families and
+    const std::vector<Edge> existing = g.toEdges();
+    std::set<Edge> arcs(existing.begin(), existing.end());
+    for (const auto &[u, v] : fresh)
+        if (u != v) {
+            arcs.insert({u, v});
+            arcs.insert({v, u});
+        }
+    for (const auto &[u, v] : stale) {
+        arcs.erase({u, v});
+        arcs.erase({v, u});
+    }
+    return CsrGraph::fromEdges(
+        g.numNodes(), std::vector<Edge>(arcs.begin(), arcs.end()),
+        /*symmetrize=*/false, /*keep_self_loops=*/true);
+}
+
+TEST(CsrGraph, WithEditedEdgesAdditionsMatchEdgeListRebuild)
+{
+    // Differential: the O(E + k log k) merge of an addition-only
+    // edit must equal the model rebuild, across graph families and
     // adversarial additions (duplicates, already-present edges, self
     // loops, both orientations of the same edge).
     Rng rng(99);
@@ -250,38 +276,33 @@ TEST(CsrGraph, WithAddedEdgesMatchesEdgeListRebuild)
             if (i % 5 == 0)
                 added.emplace_back(v, u); // reverse duplicate
         }
-        CsrGraph merged = g.withAddedEdges(added);
-        std::vector<Edge> all = g.toEdges();
-        for (const Edge &e : added)
-            all.push_back(e);
-        CsrGraph rebuilt = CsrGraph::fromEdges(
-            g.numNodes(), all, /*symmetrize=*/true);
-        EXPECT_EQ(merged, rebuilt);
+        EXPECT_EQ(g.withEditedEdges(added, {}),
+                  modelRebuild(g, added, {}));
     }
-    EXPECT_THROW(pathGraph(4).withAddedEdges(
-                     std::vector<Edge>{{0, 9}}),
+    EXPECT_THROW(pathGraph(4).withEditedEdges(
+                     std::vector<Edge>{{0, 9}}, {}),
                  std::out_of_range);
 }
 
-TEST(CsrGraph, WithAddedEdgesNegativePaths)
+TEST(CsrGraph, WithEditedEdgesAdditionNoOps)
 {
-    // The documented no-ops of the insertion path: self loops are
+    // The documented no-ops of the insertion side: self loops are
     // dropped, duplicates within one span and edges already present
     // are absorbed — the graph must come out unchanged, not throw.
     CsrGraph g = pathGraph(5);
-    EXPECT_EQ(g.withAddedEdges(std::vector<Edge>{{2, 2}}), g);
-    EXPECT_EQ(g.withAddedEdges(std::vector<Edge>{{0, 1}, {1, 0}}), g);
-    CsrGraph once = g.withAddedEdges(std::vector<Edge>{{0, 3}});
-    CsrGraph twice = g.withAddedEdges(
-        std::vector<Edge>{{0, 3}, {3, 0}, {0, 3}});
+    EXPECT_EQ(g.withEditedEdges(std::vector<Edge>{{2, 2}}, {}), g);
+    EXPECT_EQ(g.withEditedEdges(std::vector<Edge>{{0, 1}, {1, 0}}, {}),
+              g);
+    CsrGraph once = g.withEditedEdges(std::vector<Edge>{{0, 3}}, {});
+    CsrGraph twice = g.withEditedEdges(
+        std::vector<Edge>{{0, 3}, {3, 0}, {0, 3}}, {});
     EXPECT_EQ(once, twice);
 }
 
-TEST(CsrGraph, WithRemovedEdgesMatchesEdgeListRebuild)
+TEST(CsrGraph, WithEditedEdgesRemovalsMatchEdgeListRebuild)
 {
-    // Differential mirror of the insertion test: the per-row
-    // deletion sweep must equal a full rebuild from the filtered
-    // edge list, across graph families.
+    // Differential mirror of the insertion test: a removal-only edit
+    // must equal the model rebuild, across graph families.
     Rng rng(41);
     std::vector<CsrGraph> graphs;
     graphs.push_back(erdosRenyi(300, 6.0, 2));
@@ -300,29 +321,19 @@ TEST(CsrGraph, WithRemovedEdgesMatchesEdgeListRebuild)
             pool[j] = pool.back();
             pool.pop_back();
         }
-        CsrGraph pruned = g.withRemovedEdges(removed);
-        std::set<Edge> gone;
-        for (const auto &[u, v] : removed) {
-            gone.insert({u, v});
-            gone.insert({v, u});
-        }
-        std::vector<Edge> kept;
-        for (const Edge &e : g.toEdges())
-            if (!gone.count(e))
-                kept.push_back(e);
-        CsrGraph rebuilt = CsrGraph::fromEdges(
-            g.numNodes(), kept, /*symmetrize=*/false);
-        EXPECT_EQ(pruned, rebuilt);
+        CsrGraph pruned = g.withEditedEdges({}, removed);
+        EXPECT_EQ(pruned, modelRebuild(g, {}, removed));
         EXPECT_EQ(pruned.numEdges(),
                   g.numEdges() - 2 * removed.size());
     }
 }
 
-TEST(CsrGraph, WithEditedEdgesMatchesTwoPassComposition)
+TEST(CsrGraph, WithEditedEdgesMixedSpansMatchEdgeListRebuild)
 {
-    // The one-pass merge sweep must equal add-then-remove for
-    // disjoint spans, across graph families and adversarial spans
-    // (duplicates, both orientations, self loops among the adds).
+    // The one-pass merge sweep must equal a fromEdges rebuild of
+    // (E ∪ fresh) \ stale for disjoint spans, across graph families
+    // and adversarial spans (duplicates, both orientations, self
+    // loops among the adds).
     Rng rng(57);
     std::vector<CsrGraph> graphs;
     graphs.push_back(erdosRenyi(300, 6.0, 3));
@@ -351,27 +362,24 @@ TEST(CsrGraph, WithEditedEdgesMatchesTwoPassComposition)
                 stale.push_back(e);
             }
         }
-        CsrGraph one = g.withEditedEdges(fresh, stale);
-        CsrGraph two = g.withAddedEdges(fresh);
-        if (!stale.empty())
-            two = two.withRemovedEdges(stale);
-        EXPECT_EQ(one, two);
+        EXPECT_EQ(g.withEditedEdges(fresh, stale),
+                  modelRebuild(g, fresh, stale));
     }
 }
 
 TEST(CsrGraph, WithEditedEdgesDegenerateSpans)
 {
-    // Empty spans degenerate to the single-span operations (and to a
-    // structural copy when both are empty).
+    // Empty spans give a structural copy; one-sided edits equal the
+    // model rebuild of that side alone.
     CsrGraph g = erdosRenyi(100, 4.0, 9);
     EXPECT_EQ(g.withEditedEdges({}, {}), g);
     const std::vector<Edge> add{{0, 50}, {1, 60}};
-    EXPECT_EQ(g.withEditedEdges(add, {}), g.withAddedEdges(add));
+    EXPECT_EQ(g.withEditedEdges(add, {}), modelRebuild(g, add, {}));
     std::vector<Edge> rem;
     for (const auto &[u, v] : g.toEdges())
         if (u < v && rem.size() < 3)
             rem.emplace_back(u, v);
-    EXPECT_EQ(g.withEditedEdges({}, rem), g.withRemovedEdges(rem));
+    EXPECT_EQ(g.withEditedEdges({}, rem), modelRebuild(g, {}, rem));
 }
 
 TEST(CsrGraph, WithEditedEdgesNegativePaths)
@@ -394,6 +402,44 @@ TEST(CsrGraph, WithEditedEdgesNegativePaths)
                  std::invalid_argument);
 }
 
+TEST(CsrGraph, WithEditedEdgesRemovalNegativePaths)
+{
+    CsrGraph g = pathGraph(5); // edges 0-1, 1-2, 2-3, 3-4
+    auto removeEdges = [](const CsrGraph &from,
+                          std::vector<Edge> stale) {
+        return from.withEditedEdges({}, stale);
+    };
+
+    // Removing a nonexistent edge errors loudly.
+    EXPECT_THROW(removeEdges(g, {{0, 3}}), std::invalid_argument);
+    // ... also when mixed with present edges, in any position.
+    EXPECT_THROW(removeEdges(g, {{0, 1}, {0, 4}}), std::invalid_argument);
+    // Out-of-range endpoints are a distinct loud error.
+    EXPECT_THROW(removeEdges(g, {{0, 9}}), std::out_of_range);
+    // A self loop is an edge like any other: absent here, so loud.
+    EXPECT_THROW(removeEdges(g, {{2, 2}}), std::invalid_argument);
+    // ... and removable when the graph actually stores it.
+    CsrGraph with_loop = CsrGraph::fromEdges(
+        3, {{0, 1}, {1, 1}}, /*symmetrize=*/true,
+        /*keep_self_loops=*/true);
+    CsrGraph no_loop = removeEdges(with_loop, {{1, 1}});
+    EXPECT_EQ(no_loop.numSelfLoops(), 0u);
+    EXPECT_TRUE(no_loop.hasEdge(0, 1));
+
+    // Duplicates within one span (and both orientations of one
+    // edge) collapse to a single removal: documented set semantics,
+    // mirroring the absorbed duplicate additions.
+    CsrGraph a = removeEdges(g, {{1, 2}, {2, 1}, {1, 2}});
+    CsrGraph b = removeEdges(g, {{1, 2}});
+    EXPECT_EQ(a, b);
+    EXPECT_FALSE(a.hasEdge(1, 2));
+    EXPECT_FALSE(a.hasEdge(2, 1));
+
+    // Add-then-remove round-trips to the original graph.
+    CsrGraph grown = g.withEditedEdges(std::vector<Edge>{{0, 4}}, {});
+    EXPECT_EQ(removeEdges(grown, {{4, 0}}), g);
+}
+
 TEST(CsrGraph, ArcSourceInvertsRowLayout)
 {
     CsrGraph g = erdosRenyi(80, 4.0, 6);
@@ -404,53 +450,13 @@ TEST(CsrGraph, ArcSourceInvertsRowLayout)
     EXPECT_THROW(g.arcSource(g.numEdges()), std::out_of_range);
 }
 
-TEST(CsrGraph, WithRemovedEdgesNegativePaths)
-{
-    CsrGraph g = pathGraph(5); // edges 0-1, 1-2, 2-3, 3-4
-
-    // Removing a nonexistent edge errors loudly.
-    EXPECT_THROW(g.withRemovedEdges(std::vector<Edge>{{0, 3}}),
-                 std::invalid_argument);
-    // ... also when mixed with present edges, in any position.
-    EXPECT_THROW(g.withRemovedEdges(
-                     std::vector<Edge>{{0, 1}, {0, 4}}),
-                 std::invalid_argument);
-    // Out-of-range endpoints are a distinct loud error.
-    EXPECT_THROW(g.withRemovedEdges(std::vector<Edge>{{0, 9}}),
-                 std::out_of_range);
-    // A self loop is an edge like any other: absent here, so loud.
-    EXPECT_THROW(g.withRemovedEdges(std::vector<Edge>{{2, 2}}),
-                 std::invalid_argument);
-    // ... and removable when the graph actually stores it.
-    CsrGraph with_loop = CsrGraph::fromEdges(
-        3, {{0, 1}, {1, 1}}, /*symmetrize=*/true,
-        /*keep_self_loops=*/true);
-    CsrGraph no_loop =
-        with_loop.withRemovedEdges(std::vector<Edge>{{1, 1}});
-    EXPECT_EQ(no_loop.numSelfLoops(), 0u);
-    EXPECT_TRUE(no_loop.hasEdge(0, 1));
-
-    // Duplicates within one span (and both orientations of one
-    // edge) collapse to a single removal: documented set semantics,
-    // mirroring withAddedEdges.
-    CsrGraph a = g.withRemovedEdges(
-        std::vector<Edge>{{1, 2}, {2, 1}, {1, 2}});
-    CsrGraph b = g.withRemovedEdges(std::vector<Edge>{{1, 2}});
-    EXPECT_EQ(a, b);
-    EXPECT_FALSE(a.hasEdge(1, 2));
-    EXPECT_FALSE(a.hasEdge(2, 1));
-
-    // Add-then-remove round-trips to the original graph.
-    CsrGraph grown = g.withAddedEdges(std::vector<Edge>{{0, 4}});
-    EXPECT_EQ(grown.withRemovedEdges(std::vector<Edge>{{4, 0}}), g);
-}
-
-TEST(CsrGraph, ExtractLHopSubgraphLevels)
+TEST(CsrGraph, LHopSubgraphLevels)
 {
     // Path 0-1-2-3-4-5: 2 hops from node 0 reach {0, 1, 2}.
     CsrGraph p = pathGraph(6);
     std::vector<NodeId> targets{0};
-    LHopSubgraph ext = extractLHopSubgraph(p, targets, 2);
+    LHopSubgraph ext =
+        inducedSubgraph(p, lHopNodeSet(p, targets, 2), targets);
     EXPECT_EQ(ext.nodes, (std::vector<NodeId>{0, 1, 2}));
     EXPECT_EQ(ext.targetLocal, (std::vector<NodeId>{0}));
     // Induced edges: 0-1, 1-2 (both arcs).
@@ -458,21 +464,25 @@ TEST(CsrGraph, ExtractLHopSubgraphLevels)
 
     // 0 hops: the targets alone, with only target-target edges.
     std::vector<NodeId> two{1, 2};
-    LHopSubgraph zero = extractLHopSubgraph(p, two, 0);
+    LHopSubgraph zero =
+        inducedSubgraph(p, lHopNodeSet(p, two, 0), two);
     EXPECT_EQ(zero.nodes, (std::vector<NodeId>{1, 2}));
     EXPECT_EQ(zero.sub.numEdges(), 2u);
 
     // Duplicate targets each get a targetLocal entry.
     std::vector<NodeId> dup{3, 3, 1};
-    LHopSubgraph d = extractLHopSubgraph(p, dup, 1);
+    LHopSubgraph d = inducedSubgraph(p, lHopNodeSet(p, dup, 1), dup);
     EXPECT_EQ(d.targetLocal.size(), 3u);
     EXPECT_EQ(d.targetLocal[0], d.targetLocal[1]);
 
-    EXPECT_THROW(extractLHopSubgraph(p, std::vector<NodeId>{9}, 1),
+    EXPECT_THROW(lHopNodeSet(p, std::vector<NodeId>{9}, 1),
                  std::out_of_range);
+    // A target outside the supplied node set cannot be bound.
+    EXPECT_THROW(inducedSubgraph(p, {1, 2}, std::vector<NodeId>{3}),
+                 std::invalid_argument);
 }
 
-TEST(CsrGraph, ExtractLHopSubgraphPreservesNeighborOrder)
+TEST(CsrGraph, LHopSubgraphPreservesNeighborOrder)
 {
     // On a random graph, every subgraph row must be the global row
     // filtered to the subgraph, in the same (ascending) order — the
@@ -480,7 +490,8 @@ TEST(CsrGraph, ExtractLHopSubgraphPreservesNeighborOrder)
     // the whole-graph pass.
     CsrGraph g = erdosRenyi(200, 8.0, 3);
     std::vector<NodeId> targets{5, 17, 100};
-    LHopSubgraph ext = extractLHopSubgraph(g, targets, 2);
+    LHopSubgraph ext =
+        inducedSubgraph(g, lHopNodeSet(g, targets, 2), targets);
     ASSERT_TRUE(std::is_sorted(ext.nodes.begin(), ext.nodes.end()));
     for (size_t l = 0; l < ext.nodes.size(); ++l) {
         std::vector<NodeId> expected;

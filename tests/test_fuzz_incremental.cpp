@@ -3,8 +3,9 @@
  * Differential fuzz harness for the incremental islandization path.
  *
  * Seeded randomized add/remove edge streams over the four graph
- * families, replayed through `withAddedEdges` / `withRemovedEdges` +
- * `updateIslandization` against three independent oracles:
+ * families, replayed through `withEditedEdges` +
+ * `updateIslandization` (the serving applier's edit path) against
+ * three independent oracles:
  *
  *  1. **Structural validity** after every batch: every node
  *     classified, island sizes within [1, cmax], and *exact* edge
@@ -24,7 +25,9 @@
  *     and task trace): the locator's determinism contract extends to
  *     the dynamic-graph path.
  *  3. **From-scratch equivalence**: the evolved graph equals a
- *     ground-truth edge-list rebuild, and the incremental partition
+ *     ground-truth edge-list rebuild (after every batch, in
+ *     EditedEpochsMatchModelRebuildAfterEveryBatch, and at the end
+ *     of every replay), and the incremental partition
  *     matches from-scratch `islandize` on that graph in pruning
  *     quality (the partitions may legitimately differ in discovery
  *     order; the structure the consumer exploits may not degrade).
@@ -325,9 +328,7 @@ replayStream(const CsrGraph &g0, const std::vector<Batch> &stream,
     for (size_t b = 0; b < stream.size(); ++b) {
         const Batch &batch = stream[b];
         // One merge sweep per batch: makeStream keeps adds/removes
-        // disjoint, exactly withEditedEdges' contract. The two-pass
-        // composition this replaced is differentially locked in by
-        // OnePassEditedEpochsMatchTwoPassComposition below.
+        // disjoint, exactly withEditedEdges' contract.
         CsrGraph next =
             r.graph.withEditedEdges(batch.adds, batch.removes);
         IncrementalStats stats;
@@ -412,16 +413,13 @@ TEST(FuzzIncremental, AddRemoveStreamsMatchFromScratchAtAllThreadCounts)
     setGlobalThreads(0);
 }
 
-TEST(FuzzIncremental, OnePassEditedEpochsMatchTwoPassComposition)
+TEST(FuzzIncremental, EditedEpochsMatchModelRebuildAfterEveryBatch)
 {
-    // Differential lock for the one-pass epoch build: over the fuzz
-    // corpus, withEditedEdges(adds, removes) must produce the exact
-    // graph of the old two-pass withAddedEdges-then-withRemovedEdges
-    // composition after every batch, and feeding either graph chain
-    // through updateIslandization must give bit-identical partitions
-    // and incremental stats.
+    // Per-batch differential lock for the one-pass epoch build: over
+    // the fuzz corpus, the withEditedEdges(adds, removes) chain must
+    // equal a fromEdges rebuild of the model edge set after every
+    // batch, so a divergence is pinned to the batch that caused it.
     const int seeds = fuzzSeedsPerFamily();
-    LocatorConfig cfg;
     for (const Family &family : kFamilies) {
         for (int seed = 0; seed < seeds; ++seed) {
             const std::string ctx = std::string(family.name) +
@@ -432,30 +430,23 @@ TEST(FuzzIncremental, OnePassEditedEpochsMatchTwoPassComposition)
                 makeStream(g0, 31 * seed + 7, /*num_batches=*/5,
                            /*events_per_batch=*/14, nullptr);
 
-            CsrGraph one = g0, two = g0;
-            IslandizationResult isl_one = islandize(g0, cfg);
-            IslandizationResult isl_two = isl_one;
+            std::set<Edge> model;
+            for (const auto &[u, v] : g0.toEdges())
+                if (u < v)
+                    model.insert({u, v});
+            CsrGraph g = g0;
             for (size_t b = 0; b < stream.size(); ++b) {
-                const std::string bctx =
-                    ctx + " batch " + std::to_string(b);
                 const Batch &batch = stream[b];
-                one = one.withEditedEdges(batch.adds, batch.removes);
-                two = two.withAddedEdges(batch.adds);
-                if (!batch.removes.empty())
-                    two = two.withRemovedEdges(batch.removes);
-                ASSERT_EQ(one, two) << bctx;
-
-                IncrementalStats st_one, st_two;
-                isl_one = updateIslandization(one, isl_one,
-                                              batch.adds,
-                                              batch.removes, cfg,
-                                              &st_one);
-                isl_two = updateIslandization(two, isl_two,
-                                              batch.adds,
-                                              batch.removes, cfg,
-                                              &st_two);
-                expectIdenticalPartition(isl_one, isl_two, bctx);
-                EXPECT_EQ(st_one, st_two) << bctx;
+                g = g.withEditedEdges(batch.adds, batch.removes);
+                model.insert(batch.adds.begin(), batch.adds.end());
+                for (const Edge &e : batch.removes)
+                    model.erase(e);
+                ASSERT_EQ(g, CsrGraph::fromEdges(
+                                 g0.numNodes(),
+                                 std::vector<Edge>(model.begin(),
+                                                   model.end()),
+                                 /*symmetrize=*/true))
+                    << ctx << " batch " << b;
             }
         }
     }
@@ -488,7 +479,7 @@ TEST(FuzzIncremental, DeletionOnlyStreamDrainsToIsolatedGraph)
             present[j] = present.back();
             present.pop_back();
         }
-        g = g.withRemovedEdges(removes);
+        g = g.withEditedEdges({}, removes);
         isl = updateIslandization(g, isl, {}, removes, cfg);
         verifyIslandization(g, isl, cfg,
                             "drain batch " +

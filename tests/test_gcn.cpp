@@ -62,7 +62,7 @@ TEST(Layer, RefreshNormalizedAdjacencyIsRemovalAware)
     for (const auto &[u, v] : g.toEdges())
         if (u < v && removed.size() < 40)
             removed.push_back({u, v});
-    CsrGraph g2 = g.withRemovedEdges(removed);
+    CsrGraph g2 = g.withEditedEdges({}, removed);
 
     refreshNormalizedAdjacency(a_hat, g2, degreeScaling(g2));
     CsrMatrix fresh = normalizedAdjacency(g2);

@@ -38,16 +38,6 @@ checkPostconditions(const CsrGraph &g, const IslandizationResult &isl,
     EXPECT_EQ(report.baselineAggOps(), g.numEdges() + g.numNodes());
 }
 
-/** Add edges to a graph, returning the new graph. */
-CsrGraph
-withEdges(const CsrGraph &g, const std::vector<Edge> &added)
-{
-    std::vector<Edge> all = g.toEdges();
-    for (const auto &e : added)
-        all.push_back(e);
-    return CsrGraph::fromEdges(g.numNodes(), all, /*symmetrize=*/true);
-}
-
 TEST(Incremental, InternalIslandEdgeAbsorbed)
 {
     auto hi = hubAndIslandGraph({.numNodes = 600, .seed = 4});
@@ -63,10 +53,10 @@ TEST(Incremental, InternalIslandEdgeAbsorbed)
         }
     ASSERT_NE(target, nullptr);
     std::vector<Edge> added{{target->nodes[0], target->nodes[2]}};
-    CsrGraph g2 = withEdges(hi.graph, added);
+    CsrGraph g2 = hi.graph.withEditedEdges(added, {});
 
     IncrementalStats stats;
-    auto updated = updateIslandization(g2, isl, added, cfg, &stats);
+    auto updated = updateIslandization(g2, isl, added, {}, cfg, &stats);
     EXPECT_EQ(stats.islandsDissolved, 0u);
     EXPECT_GE(stats.edgesAbsorbed, 1u);
     EXPECT_EQ(updated.islands.size(), isl.islands.size());
@@ -98,9 +88,9 @@ TEST(Incremental, CrossIslandEdgeRepairsLocally)
     ASSERT_NE(ib, IslandizationResult::kNoIsland);
 
     std::vector<Edge> added{{u, v}};
-    CsrGraph g2 = withEdges(hi.graph, added);
+    CsrGraph g2 = hi.graph.withEditedEdges(added, {});
     IncrementalStats stats;
-    auto updated = updateIslandization(g2, isl, added, cfg, &stats);
+    auto updated = updateIslandization(g2, isl, added, {}, cfg, &stats);
     EXPECT_EQ(stats.islandsDissolved, 2u);
     EXPECT_GT(stats.nodesReclassified, 0u);
     checkPostconditions(g2, updated, cfg);
@@ -139,9 +129,9 @@ TEST(Incremental, HubHubEdgeIsInterHub)
         }
     }
     std::vector<Edge> added{{h1, h2}};
-    CsrGraph g2 = withEdges(hi.graph, added);
+    CsrGraph g2 = hi.graph.withEditedEdges(added, {});
     IncrementalStats stats;
-    auto updated = updateIslandization(g2, isl, added, cfg, &stats);
+    auto updated = updateIslandization(g2, isl, added, {}, cfg, &stats);
     EXPECT_EQ(stats.islandsDissolved, 0u);
     checkPostconditions(g2, updated, cfg);
 }
@@ -166,8 +156,8 @@ TEST(Incremental, RandomEdgeStream)
             if (u != v)
                 added.emplace_back(u, v);
         }
-        CsrGraph g2 = withEdges(g, added);
-        isl = updateIslandization(g2, isl, added, cfg);
+        CsrGraph g2 = g.withEditedEdges(added, {});
+        isl = updateIslandization(g2, isl, added, {}, cfg);
         g = g2;
         checkPostconditions(g, isl, cfg);
     }
@@ -198,9 +188,9 @@ TEST(Incremental, BatchedMixedStreamEquivalentToOneBigBatch)
     }
 
     // One big batch.
-    CsrGraph g_big = hi.graph.withAddedEdges(added);
+    CsrGraph g_big = hi.graph.withEditedEdges(added, {});
     auto isl_big =
-        updateIslandization(g_big, isl0, added, cfg);
+        updateIslandization(g_big, isl0, added, {}, cfg);
 
     // Many small batches, graph evolving between them (subspans of
     // the same stream, as the scheduler's coalescing produces).
@@ -208,9 +198,9 @@ TEST(Incremental, BatchedMixedStreamEquivalentToOneBigBatch)
     auto isl_small = isl0;
     for (size_t i = 0; i < added.size(); i += 5) {
         std::span<const Edge> batch(added.data() + i, 5);
-        g_small = g_small.withAddedEdges(batch);
+        g_small = g_small.withEditedEdges(batch, {});
         isl_small =
-            updateIslandization(g_small, isl_small, batch, cfg);
+            updateIslandization(g_small, isl_small, batch, {}, cfg);
         checkPostconditions(g_small, isl_small, cfg);
     }
 
@@ -253,7 +243,7 @@ TEST(Incremental, IntraIslandRemovalDissolvesTheIsland)
     ASSERT_NE(target, nullptr);
 
     std::vector<Edge> removed{internal};
-    CsrGraph g2 = hi.graph.withRemovedEdges(removed);
+    CsrGraph g2 = hi.graph.withEditedEdges({}, removed);
     IncrementalStats stats;
     auto updated =
         updateIslandization(g2, isl, {}, removed, cfg, &stats);
@@ -283,7 +273,7 @@ TEST(Incremental, HubHubRemovalOnlyErasesInterHubEntry)
     ASSERT_TRUE(found);
 
     std::vector<Edge> removed{pick};
-    CsrGraph g2 = hi.graph.withRemovedEdges(removed);
+    CsrGraph g2 = hi.graph.withEditedEdges({}, removed);
     IncrementalStats stats;
     auto updated =
         updateIslandization(g2, isl, {}, removed, cfg, &stats);
@@ -321,7 +311,7 @@ TEST(Incremental, StarvedHubIsDemoted)
     for (size_t i = 0; i + 1 < nbrs.size(); ++i)
         removed.emplace_back(hub, nbrs[i]);
 
-    CsrGraph g2 = hi.graph.withRemovedEdges(removed);
+    CsrGraph g2 = hi.graph.withEditedEdges({}, removed);
     ASSERT_EQ(g2.degree(hub), 1u);
     IncrementalStats stats;
     auto updated =
@@ -367,9 +357,7 @@ TEST(Incremental, MixedAddRemoveSpanMatchesPostconditions)
             else
                 adds.push_back(ne);
         }
-        CsrGraph g2 = g.withAddedEdges(adds);
-        if (!removes.empty())
-            g2 = g2.withRemovedEdges(removes);
+        CsrGraph g2 = g.withEditedEdges(adds, removes);
         isl = updateIslandization(g2, isl, adds, removes, cfg);
         g = g2;
         checkPostconditions(g, isl, cfg);
@@ -394,8 +382,8 @@ TEST(Incremental, MatchesFreshPruningQuality)
     std::erase_if(added, [](const Edge &e) {
         return e.first == e.second;
     });
-    CsrGraph g2 = withEdges(g, added);
-    auto incremental = updateIslandization(g2, isl, added, cfg);
+    CsrGraph g2 = g.withEditedEdges(added, {});
+    auto incremental = updateIslandization(g2, isl, added, {}, cfg);
     auto fresh = islandize(g2, cfg);
     double inc_rate =
         countPruning(g2, incremental, {}).aggPruningRate();

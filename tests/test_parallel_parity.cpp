@@ -483,7 +483,9 @@ TEST_F(ParityTest, TransposeGatherBitIdenticalThroughCachedAndColdCsc)
  * normalizedAdjacencyScaled(g, s) re-adopted through the validating
  * constructor: fromArrays accepts it unchanged (strictly ascending
  * columns, in range, consistent rowPtr), and every row holds its
- * self loop exactly once with value s[u] * s[u].
+ * self loop exactly once with value s[u] * s[u]. The binary A + I of
+ * the factored path must hold exactly the columns of g's row plus u
+ * (sorted, the loop merged when g stores it), all valued 1.0f.
  */
 void
 expectAdjacencyIsValidCsr(const CsrGraph &g, const std::string &ctx)
@@ -504,6 +506,24 @@ expectAdjacencyIsValidCsr(const CsrGraph &g, const std::string &ctx)
             << ctx << " row " << u;
         EXPECT_EQ(row.vals[self - row.cols.begin()], s[u] * s[u])
             << ctx << " row " << u;
+    }
+
+    const CsrMatrix a_bin = binaryAdjacencyWithSelfLoops(g);
+    ASSERT_EQ(a_bin.numRows, g.numNodes()) << ctx;
+    for (NodeId u = 0; u < g.numNodes(); ++u) {
+        std::vector<NodeId> expected(g.neighbors(u).begin(),
+                                     g.neighbors(u).end());
+        if (!g.hasEdge(u, u))
+            expected.insert(std::lower_bound(expected.begin(),
+                                             expected.end(), u),
+                            u);
+        const CsrRow row = a_bin.row(u);
+        EXPECT_EQ(std::vector<NodeId>(row.cols.begin(), row.cols.end()),
+                  expected)
+            << ctx << " binary row " << u;
+        EXPECT_TRUE(std::all_of(row.vals.begin(), row.vals.end(),
+                                [](float v) { return v == 1.0f; }))
+            << ctx << " binary row " << u;
     }
 }
 

@@ -1,52 +1,16 @@
 /**
  * @file
- * Simulation substrate tests: event ordering, DRAM bandwidth
- * accounting, stats registry.
+ * Simulation substrate tests: DRAM bandwidth accounting, stats
+ * registry.
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/dram.hpp"
-#include "sim/engine.hpp"
 #include "sim/stats.hpp"
 
 namespace igcn {
 namespace {
-
-TEST(SimEngine, EventsRunInTimeOrder)
-{
-    SimEngine engine;
-    std::vector<int> order;
-    engine.schedule(30, [&] { order.push_back(3); });
-    engine.schedule(10, [&] { order.push_back(1); });
-    engine.schedule(20, [&] { order.push_back(2); });
-    Cycles end = engine.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(end, 30u);
-}
-
-TEST(SimEngine, TiesRunInScheduleOrder)
-{
-    SimEngine engine;
-    std::vector<int> order;
-    engine.schedule(5, [&] { order.push_back(1); });
-    engine.schedule(5, [&] { order.push_back(2); });
-    engine.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(SimEngine, HandlersCanScheduleMore)
-{
-    SimEngine engine;
-    int fired = 0;
-    engine.schedule(1, [&] {
-        fired++;
-        engine.schedule(1, [&] { fired++; });
-    });
-    Cycles end = engine.run();
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(end, 2u);
-}
 
 TEST(Dram, BandwidthAccounting)
 {
